@@ -1,5 +1,5 @@
-//! Design-choice ablations (DESIGN.md §5): each bench pair quantifies one
-//! decision the reproduction had to make.
+//! Design-choice ablations: each bench pair quantifies one decision the
+//! reproduction had to make.
 
 #![allow(missing_docs)] // `criterion_main!` expands an undocumented `fn main`
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -36,7 +36,8 @@ fn ablation_exp_scaling(c: &mut Criterion) {
 }
 
 /// Ablation 2 — sensitivity norm: Δ₁ vs Δ∞ calibration of the mechanisms
-/// (DESIGN.md §4). Identical cost; the accuracy consequence is printed.
+/// (footnote 5 leaves the norm unsubscripted). Identical cost; the
+/// accuracy consequence is printed.
 fn ablation_sensitivity_norm(c: &mut Criterion) {
     let g = wiki_graph();
     let cn = CommonNeighbors;

@@ -1,6 +1,6 @@
 //! Graph backends under the serving read pattern: the plain in-RAM CSR
-//! against the compressed (PSRZ) snapshot and the degree-balanced
-//! sharded view, on a LiveJournal-class R-MAT preset.
+//! against the compressed (PSRZ) snapshot, on a LiveJournal-class R-MAT
+//! preset.
 //!
 //! Headline no-regression asserts, measured once outside the sampler (so
 //! `cargo bench -- --test` smoke runs gate them too):
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use criterion::{black_box, criterion_group, Criterion};
 use psr_bench::BENCH_SEED;
 use psr_datasets::{livejournal_like, PresetConfig};
-use psr_graph::{CompressedCsr, DecodeWorkspace, Graph, GraphView, NodeId, ShardedGraph};
+use psr_graph::{CompressedCsr, DecodeWorkspace, Graph, GraphView, NodeId};
 
 /// Warm compressed reads may cost at most this multiple of a CSR scan.
 const WARM_OVERHEAD_CEILING: f64 = 3.0;
@@ -98,24 +98,21 @@ fn backend_reads(c: &mut Criterion) {
         "bytes",
     );
     let compressed = CompressedCsr::open_bytes(bytes).expect("fresh snapshot validates");
-    let sharded = ShardedGraph::from_view(&graph, 8);
 
-    // Correctness first: all four read paths must see the same adjacency.
+    // Correctness first: all three read paths must see the same adjacency.
     let csr_sum = scan(&graph);
     let mut ws = DecodeWorkspace::default();
     assert_eq!(scan_workspace(&compressed, &mut ws), csr_sum, "workspace decode diverged");
     assert_eq!(scan(&compressed), csr_sum, "compressed reads diverged"); // also warms the cache
-    assert_eq!(scan(&sharded), csr_sum, "sharded reads diverged");
 
     // Headline: steady-state (warm) compressed overhead vs the plain CSR,
     // and the cache-free first-touch cost, best of 5 each.
     let (csr_time, _) = best_of(5, || scan(&graph));
     let (warm_time, _) = best_of(5, || scan(&compressed));
     let (cold_time, _) = best_of(5, || scan_workspace(&compressed, &mut ws));
-    let (sharded_time, _) = best_of(5, || scan(&sharded));
     println!(
         "[graph_backend] {} nodes / {} arcs scan: csr {:.2} ms, compressed warm {:.2} ms \
-         ({:.2}x), workspace decode {:.2} ms ({:.2}x), sharded {:.2} ms ({:.2}x)",
+         ({:.2}x), workspace decode {:.2} ms ({:.2}x)",
         graph.num_nodes(),
         graph.num_arcs(),
         csr_time.as_secs_f64() * 1e3,
@@ -123,8 +120,6 @@ fn backend_reads(c: &mut Criterion) {
         warm_time.as_secs_f64() / csr_time.as_secs_f64(),
         cold_time.as_secs_f64() * 1e3,
         cold_time.as_secs_f64() / csr_time.as_secs_f64(),
-        sharded_time.as_secs_f64() * 1e3,
-        sharded_time.as_secs_f64() / csr_time.as_secs_f64(),
     );
     assert!(
         warm_time.as_secs_f64() <= WARM_OVERHEAD_CEILING * csr_time.as_secs_f64(),
@@ -145,7 +140,6 @@ fn backend_reads(c: &mut Criterion) {
         let mut ws = DecodeWorkspace::default();
         b.iter(|| scan_workspace(&compressed, &mut ws));
     });
-    group.bench_function("sharded", |b| b.iter(|| scan(&sharded)));
     group.finish();
 }
 

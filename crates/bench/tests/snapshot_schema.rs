@@ -159,7 +159,6 @@ fn graph_backend_snapshot_covers_every_case_and_keeps_the_wins() {
     let csr = median(&snapshot, "graph_backend_scan/csr");
     let warm = median(&snapshot, "graph_backend_scan/compressed_warm");
     let cold = median(&snapshot, "graph_backend_scan/compressed_workspace");
-    median(&snapshot, "graph_backend_scan/sharded");
     median(&snapshot, "graph_backend_open/validate_open");
     // Mirrors the in-bench gates: steady-state compressed reads must stay
     // cheap, and the committed artifact must prove it.

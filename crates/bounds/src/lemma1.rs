@@ -67,7 +67,7 @@ pub struct BoundResult {
 /// values of `u` and returns the *tightest* (smallest) accuracy ceiling.
 ///
 /// The paper leaves `c` free; sweeping it can only strengthen the
-/// theoretical curve (DESIGN.md §4). For each distinct value `v` (desc),
+/// theoretical curve. For each distinct value `v` (desc),
 /// the group `{uᵢ ≥ v}` becomes `V_hi` by letting the threshold
 /// `(1−c)u_max` approach the next-smaller value from above, i.e.
 /// `c_j = 1 − v_{j+1}/u_max` with `k_j = #{uᵢ ≥ v_j}`; the final interval's

@@ -471,9 +471,11 @@ fn resolve_backend(
     Ok(())
 }
 
-/// Options for the `daemon` subcommand.
+/// Flags `serve` and `daemon` share: the graph source and backing, the
+/// utility, the privacy parameters, the top-k engine, the worker pool and
+/// the report/telemetry outputs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DaemonOptions {
+pub struct ServingFlags {
     /// SNAP edge-list path (None = preset).
     pub input: Option<String>,
     /// Whether the input file is directed.
@@ -496,6 +498,106 @@ pub struct DaemonOptions {
     pub budget: f64,
     /// Top-k engine name: peel|gumbel.
     pub engine: String,
+    /// Worker threads (None = all cores).
+    pub threads: Option<usize>,
+    /// RNG seed.
+    pub seed: u64,
+    /// Optional JSON report path (stdout when absent).
+    pub json: Option<String>,
+    /// Telemetry metrics-snapshot path (None = telemetry stays off
+    /// unless `--trace` enables it).
+    pub metrics_out: Option<String>,
+    /// Telemetry trace JSONL path (None = no trace export).
+    pub trace: Option<String>,
+}
+
+impl Default for ServingFlags {
+    fn default() -> Self {
+        ServingFlags {
+            input: None,
+            directed: false,
+            preset: "wiki".to_owned(),
+            scale: 1.0,
+            backend: "csr".to_owned(),
+            snapshot: None,
+            utility: "common-neighbors".to_owned(),
+            gamma: 0.005,
+            epsilon: 1.0,
+            budget: 10.0,
+            engine: "gumbel".to_owned(),
+            threads: None,
+            seed: 42,
+            json: None,
+            metrics_out: None,
+            trace: None,
+        }
+    }
+}
+
+/// Parses a `serve`/`daemon` argument list: the shared [`ServingFlags`]
+/// are handled here, every other flag goes to `other` along with the
+/// argument iterator (to take its value from). After the last flag the
+/// `--backend`/`--snapshot` combination is resolved.
+fn parse_serving(
+    rest: &[String],
+    mut other: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<(), String>,
+) -> Result<ServingFlags, String> {
+    let mut flags = ServingFlags::default();
+    let mut backend_explicit = false;
+    let mut it = rest.iter();
+    while let Some(flag) = it.next() {
+        let mut value = |name: &str| -> Result<&String, String> {
+            it.next().ok_or(format!("{name} expects a value"))
+        };
+        match flag.as_str() {
+            "--input" => flags.input = Some(value("--input")?.clone()),
+            "--directed" => flags.directed = true,
+            "--preset" => flags.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
+            "--backend" => {
+                flags.backend = value("--backend")?.clone();
+                backend_explicit = true;
+            }
+            "--snapshot" => flags.snapshot = Some(value("--snapshot")?.clone()),
+            "--scale" => flags.scale = parse_scale(value("--scale")?)?,
+            "--utility" => flags.utility = parse_utility(value("--utility")?)?,
+            "--gamma" => {
+                flags.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
+            }
+            "--epsilon" => flags.epsilon = parse_epsilon(value("--epsilon")?)?,
+            "--budget" => {
+                flags.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
+                if !(flags.budget > 0.0 && flags.budget.is_finite()) {
+                    return Err("--budget must be positive and finite".into());
+                }
+            }
+            "--engine" => flags.engine = parse_engine(value("--engine")?)?,
+            "--threads" => {
+                flags.threads =
+                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
+            }
+            "--seed" => {
+                flags.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?
+            }
+            "--json" => flags.json = Some(value("--json")?.clone()),
+            "--metrics-out" => flags.metrics_out = Some(value("--metrics-out")?.clone()),
+            "--trace" => flags.trace = Some(value("--trace")?.clone()),
+            _ => other(flag, &mut it)?,
+        }
+    }
+    resolve_backend(
+        &mut flags.backend,
+        backend_explicit,
+        flags.snapshot.as_deref(),
+        flags.input.as_deref(),
+    )?;
+    Ok(flags)
+}
+
+/// Options for the `daemon` subcommand.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DaemonOptions {
+    /// Flags shared with `serve`.
+    pub serving: ServingFlags,
     /// Requests to generate.
     pub request_events: usize,
     /// Edge mutations to interleave.
@@ -514,35 +616,14 @@ pub struct DaemonOptions {
     pub ledger: Option<String>,
     /// Replay pacing in stream ticks per second (None = no pacing).
     pub rate: Option<f64>,
-    /// Worker threads (None = all cores).
-    pub threads: Option<usize>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional JSON report path (stdout when absent).
-    pub json: Option<String>,
     /// Stderr progress-line period in seconds (None = silent).
     pub heartbeat: Option<u64>,
-    /// Telemetry metrics-snapshot path (None = telemetry stays off
-    /// unless `--trace` enables it).
-    pub metrics_out: Option<String>,
-    /// Telemetry trace JSONL path (None = no trace export).
-    pub trace: Option<String>,
 }
 
 impl Default for DaemonOptions {
     fn default() -> Self {
         DaemonOptions {
-            input: None,
-            directed: false,
-            preset: "wiki".to_owned(),
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
-            epsilon: 1.0,
-            budget: 10.0,
-            engine: "gumbel".to_owned(),
+            serving: ServingFlags::default(),
             request_events: 256,
             mutation_events: 32,
             insert_fraction: 0.7,
@@ -552,46 +633,18 @@ impl Default for DaemonOptions {
             queue: 8,
             ledger: None,
             rate: None,
-            threads: None,
-            seed: 42,
-            json: None,
             heartbeat: None,
-            metrics_out: None,
-            trace: None,
         }
     }
 }
 
 fn parse_daemon(rest: &[String]) -> Result<DaemonOptions, String> {
     let mut opts = DaemonOptions::default();
-    let mut backend_explicit = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
+    opts.serving = parse_serving(rest, |flag, it| {
         let mut value = |name: &str| -> Result<&String, String> {
             it.next().ok_or(format!("{name} expects a value"))
         };
-        match flag.as_str() {
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
-            "--backend" => {
-                opts.backend = value("--backend")?.clone();
-                backend_explicit = true;
-            }
-            "--snapshot" => opts.snapshot = Some(value("--snapshot")?.clone()),
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
-            "--budget" => {
-                opts.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
-                if !(opts.budget > 0.0 && opts.budget.is_finite()) {
-                    return Err("--budget must be positive and finite".into());
-                }
-            }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
+        match flag {
             "--request-events" => {
                 opts.request_events = value("--request-events")?
                     .parse()
@@ -647,24 +700,11 @@ fn parse_daemon(rest: &[String]) -> Result<DaemonOptions, String> {
                 }
                 opts.rate = Some(rate);
             }
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--json" => opts.json = Some(value("--json")?.clone()),
             "--heartbeat" => opts.heartbeat = Some(parse_heartbeat(value("--heartbeat")?)?),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?.clone()),
-            "--trace" => opts.trace = Some(value("--trace")?.clone()),
             other => return Err(format!("unknown daemon option {other:?}")),
         }
-    }
-    resolve_backend(
-        &mut opts.backend,
-        backend_explicit,
-        opts.snapshot.as_deref(),
-        opts.input.as_deref(),
-    )?;
+        Ok(())
+    })?;
     Ok(opts)
 }
 
@@ -905,122 +945,30 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
 }
 
 /// Options for the `serve` subcommand.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeOptions {
     /// Path to the JSON request list (array of `{"target": N, "k": M}`).
     pub requests: String,
     /// Optional JSON mutation schedule (array of mutation batches)
     /// interleaved with the request chunks.
     pub mutations: Option<String>,
-    /// SNAP edge-list path (None = preset).
-    pub input: Option<String>,
-    /// Whether the input file is directed.
-    pub directed: bool,
-    /// Preset name when no input file.
-    pub preset: String,
-    /// Dataset scale for presets.
-    pub scale: f64,
-    /// Graph backing: csr|compressed.
-    pub backend: String,
-    /// PSRZ snapshot to serve from (implies the compressed backend).
-    pub snapshot: Option<String>,
-    /// Utility function name.
-    pub utility: String,
-    /// Weighted-paths damping.
-    pub gamma: f64,
-    /// Privacy cost ε of one request.
-    pub epsilon: f64,
-    /// Total ε each target may spend.
-    pub budget: f64,
-    /// Top-k engine name: peel|gumbel.
-    pub engine: String,
-    /// Worker threads (None = all cores).
-    pub threads: Option<usize>,
-    /// RNG seed.
-    pub seed: u64,
-    /// Optional JSON report path (stdout when absent).
-    pub json: Option<String>,
-    /// Telemetry metrics-snapshot path (None = telemetry stays off
-    /// unless `--trace` enables it).
-    pub metrics_out: Option<String>,
-    /// Telemetry trace JSONL path (None = no trace export).
-    pub trace: Option<String>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            requests: String::new(),
-            mutations: None,
-            input: None,
-            directed: false,
-            preset: "wiki".to_owned(),
-            scale: 1.0,
-            backend: "csr".to_owned(),
-            snapshot: None,
-            utility: "common-neighbors".to_owned(),
-            gamma: 0.005,
-            epsilon: 1.0,
-            budget: 10.0,
-            engine: "gumbel".to_owned(),
-            threads: None,
-            seed: 42,
-            json: None,
-            metrics_out: None,
-            trace: None,
-        }
-    }
+    /// Flags shared with `daemon`.
+    pub serving: ServingFlags,
 }
 
 fn parse_serve(rest: &[String]) -> Result<ServeOptions, String> {
     let mut opts = ServeOptions::default();
-    let mut backend_explicit = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
+    opts.serving = parse_serving(rest, |flag, it| {
         let mut value = |name: &str| -> Result<&String, String> {
             it.next().ok_or(format!("{name} expects a value"))
         };
-        match flag.as_str() {
+        match flag {
             "--requests" => opts.requests = value("--requests")?.clone(),
             "--mutations" => opts.mutations = Some(value("--mutations")?.clone()),
-            "--input" => opts.input = Some(value("--input")?.clone()),
-            "--directed" => opts.directed = true,
-            "--preset" => opts.preset = parse_preset(value("--preset")?, &SERVING_PRESETS)?,
-            "--backend" => {
-                opts.backend = value("--backend")?.clone();
-                backend_explicit = true;
-            }
-            "--snapshot" => opts.snapshot = Some(value("--snapshot")?.clone()),
-            "--scale" => opts.scale = parse_scale(value("--scale")?)?,
-            "--utility" => opts.utility = parse_utility(value("--utility")?)?,
-            "--gamma" => {
-                opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
-            }
-            "--epsilon" => opts.epsilon = parse_epsilon(value("--epsilon")?)?,
-            "--budget" => {
-                opts.budget = value("--budget")?.parse().map_err(|e| format!("--budget: {e}"))?;
-                if !(opts.budget > 0.0 && opts.budget.is_finite()) {
-                    return Err("--budget must be positive and finite".into());
-                }
-            }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
-            "--threads" => {
-                opts.threads =
-                    Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
-            }
-            "--seed" => opts.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--json" => opts.json = Some(value("--json")?.clone()),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?.clone()),
-            "--trace" => opts.trace = Some(value("--trace")?.clone()),
             other => return Err(format!("unknown serve option {other:?}")),
         }
-    }
-    resolve_backend(
-        &mut opts.backend,
-        backend_explicit,
-        opts.snapshot.as_deref(),
-        opts.input.as_deref(),
-    )?;
+        Ok(())
+    })?;
     if opts.requests.is_empty() {
         return Err("serve: --requests <path> is required".into());
     }
@@ -1276,13 +1224,13 @@ mod tests {
         match cmd {
             Command::Serve { opts } => {
                 assert_eq!(opts.requests, "reqs.json");
-                assert_eq!(opts.preset, "twitter");
-                assert_eq!(opts.epsilon, 0.5);
-                assert_eq!(opts.budget, 2.5);
-                assert_eq!(opts.engine, "peel");
-                assert_eq!(opts.threads, Some(4));
-                assert_eq!(opts.seed, 9);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.serving.preset, "twitter");
+                assert_eq!(opts.serving.epsilon, 0.5);
+                assert_eq!(opts.serving.budget, 2.5);
+                assert_eq!(opts.serving.engine, "peel");
+                assert_eq!(opts.serving.threads, Some(4));
+                assert_eq!(opts.serving.seed, 9);
+                assert_eq!(opts.serving.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1305,12 +1253,12 @@ mod tests {
         let cmd = parse(&argv("serve --requests r.json")).unwrap();
         match cmd {
             Command::Serve { opts } => {
-                assert_eq!(opts.epsilon, 1.0);
-                assert_eq!(opts.budget, 10.0);
-                assert_eq!(opts.engine, "gumbel");
-                assert_eq!(opts.preset, "wiki");
-                assert_eq!(opts.threads, None);
-                assert_eq!(opts.json, None);
+                assert_eq!(opts.serving.epsilon, 1.0);
+                assert_eq!(opts.serving.budget, 10.0);
+                assert_eq!(opts.serving.engine, "gumbel");
+                assert_eq!(opts.serving.preset, "wiki");
+                assert_eq!(opts.serving.threads, None);
+                assert_eq!(opts.serving.json, None);
                 assert_eq!(opts.mutations, None);
             }
             other => panic!("{other:?}"),
@@ -1340,7 +1288,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Daemon { opts } => {
-                assert_eq!(opts.preset, "twitter");
+                assert_eq!(opts.serving.preset, "twitter");
                 assert_eq!(opts.request_events, 64);
                 assert_eq!(opts.mutation_events, 8);
                 assert_eq!(opts.insert_fraction, 0.5);
@@ -1350,10 +1298,10 @@ mod tests {
                 assert_eq!(opts.queue, 5);
                 assert_eq!(opts.ledger.as_deref(), Some("spend.ledger"));
                 assert_eq!(opts.rate, Some(100.0));
-                assert_eq!(opts.engine, "peel");
-                assert_eq!(opts.threads, Some(2));
-                assert_eq!(opts.seed, 9);
-                assert_eq!(opts.json.as_deref(), Some("out.json"));
+                assert_eq!(opts.serving.engine, "peel");
+                assert_eq!(opts.serving.threads, Some(2));
+                assert_eq!(opts.serving.seed, 9);
+                assert_eq!(opts.serving.json.as_deref(), Some("out.json"));
             }
             other => panic!("{other:?}"),
         }
@@ -1371,7 +1319,7 @@ mod tests {
                 assert_eq!(opts.queue, 8);
                 assert_eq!(opts.ledger, None);
                 assert_eq!(opts.rate, None);
-                assert_eq!(opts.engine, "gumbel");
+                assert_eq!(opts.serving.engine, "gumbel");
             }
             other => panic!("{other:?}"),
         }
@@ -1542,15 +1490,15 @@ mod tests {
     fn serve_accepts_backend_and_snapshot() {
         let cmd = parse(&argv("serve --requests r.json --backend compressed")).unwrap();
         match cmd {
-            Command::Serve { opts } => assert_eq!(opts.backend, "compressed"),
+            Command::Serve { opts } => assert_eq!(opts.serving.backend, "compressed"),
             other => panic!("{other:?}"),
         }
         // --snapshot implies the compressed backend and excludes --input.
         let cmd = parse(&argv("serve --requests r.json --snapshot g.psrz")).unwrap();
         match cmd {
             Command::Serve { opts } => {
-                assert_eq!(opts.backend, "compressed");
-                assert_eq!(opts.snapshot.as_deref(), Some("g.psrz"));
+                assert_eq!(opts.serving.backend, "compressed");
+                assert_eq!(opts.serving.snapshot.as_deref(), Some("g.psrz"));
             }
             other => panic!("{other:?}"),
         }
@@ -1566,8 +1514,8 @@ mod tests {
         match parse(&argv("daemon --backend compressed --preset livejournal --scale 0.01")).unwrap()
         {
             Command::Daemon { opts } => {
-                assert_eq!(opts.backend, "compressed");
-                assert_eq!(opts.preset, "livejournal");
+                assert_eq!(opts.serving.backend, "compressed");
+                assert_eq!(opts.serving.preset, "livejournal");
             }
             other => panic!("{other:?}"),
         }
@@ -1583,8 +1531,8 @@ mod tests {
         // Defaults stay csr with no snapshot.
         match parse(&argv("daemon")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.backend, "csr");
-                assert_eq!(opts.snapshot, None);
+                assert_eq!(opts.serving.backend, "csr");
+                assert_eq!(opts.serving.snapshot, None);
             }
             other => panic!("{other:?}"),
         }
@@ -1641,15 +1589,15 @@ mod tests {
         match parse(&argv("serve --requests r.json --metrics-out m.json --trace t.jsonl")).unwrap()
         {
             Command::Serve { opts } => {
-                assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
+                assert_eq!(opts.serving.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(opts.serving.trace.as_deref(), Some("t.jsonl"));
             }
             other => panic!("{other:?}"),
         }
         match parse(&argv("daemon --metrics-out m.json --trace t.jsonl --heartbeat 5")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.metrics_out.as_deref(), Some("m.json"));
-                assert_eq!(opts.trace.as_deref(), Some("t.jsonl"));
+                assert_eq!(opts.serving.metrics_out.as_deref(), Some("m.json"));
+                assert_eq!(opts.serving.trace.as_deref(), Some("t.jsonl"));
                 assert_eq!(opts.heartbeat, Some(5));
             }
             other => panic!("{other:?}"),
@@ -1665,8 +1613,8 @@ mod tests {
         // Telemetry stays off by default, and heartbeats must be positive.
         match parse(&argv("daemon")).unwrap() {
             Command::Daemon { opts } => {
-                assert_eq!(opts.metrics_out, None);
-                assert_eq!(opts.trace, None);
+                assert_eq!(opts.serving.metrics_out, None);
+                assert_eq!(opts.serving.trace, None);
                 assert_eq!(opts.heartbeat, None);
             }
             other => panic!("{other:?}"),

@@ -13,15 +13,11 @@
 use std::time::Duration;
 
 use psr_core::serving::daemon::{multiplex, run_daemon, DaemonConfig, DaemonMetrics};
-use psr_core::serving::{RecommendationService, ServiceConfig};
-use psr_core::JournalLedger;
 use psr_gen::{
     edge_stream, request_stream, rng_from_seed, split_seed, ReplayClock, RequestStreamParams,
     StreamParams,
 };
 use psr_obs::MetricsSnapshot;
-use psr_privacy::TopKEngine;
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 use serde::Serialize;
 
 use crate::args::DaemonOptions;
@@ -59,36 +55,19 @@ struct DaemonReport {
 }
 
 pub fn run(opts: &DaemonOptions) {
-    let (backend, _ids) = super::load_serving_backend(
-        opts.input.as_deref(),
-        opts.directed,
-        &opts.preset,
-        opts.scale,
-        opts.seed,
-        &opts.backend,
-        opts.snapshot.as_deref(),
-    );
+    let flags = &opts.serving;
+    let (service, utility_name) = super::build_service(flags, opts.ledger.as_deref());
     // The stream generators need concrete adjacency to draw valid events;
     // materialising the backend here does not change what the *service*
     // reads through (its epochs stay pinned to the compressed backing).
-    let graph = backend.to_graph_arc();
-    let utility: Box<dyn UtilityFunction> = match opts.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
-        other => unreachable!("arg parser admits only known utilities, got {other}"),
-    };
-    let utility_name = utility.name();
-    let engine: TopKEngine = opts
-        .engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"));
+    let graph = service.shared_graph();
 
     // Distinct stream seeds split off the master so request and mutation
     // draws never alias; the multiplexer splits per-batch seeds itself.
     let requests = request_stream(
         &graph,
         RequestStreamParams { events: opts.request_events, k: opts.k },
-        &mut rng_from_seed(split_seed(opts.seed, 1)),
+        &mut rng_from_seed(split_seed(flags.seed, 1)),
     );
     let mutations = if opts.mutation_events == 0 {
         Vec::new()
@@ -96,33 +75,10 @@ pub fn run(opts: &DaemonOptions) {
         edge_stream(
             &graph,
             StreamParams { events: opts.mutation_events, insert_fraction: opts.insert_fraction },
-            &mut rng_from_seed(split_seed(opts.seed, 2)),
+            &mut rng_from_seed(split_seed(flags.seed, 2)),
         )
     };
-    let events = multiplex(&requests, opts.batch, &mutations, opts.mutation_batch, opts.seed);
-
-    let config = ServiceConfig {
-        epsilon_per_request: opts.epsilon,
-        budget_per_target: opts.budget,
-        engine,
-        threads: opts.threads,
-        ..Default::default()
-    };
-    let mut service = match &opts.ledger {
-        Some(path) => {
-            let ledger = JournalLedger::open(path, opts.budget)
-                .unwrap_or_else(|e| panic!("opening budget ledger {path}: {e}"));
-            RecommendationService::with_backend_and_ledger(
-                backend,
-                utility,
-                config,
-                Box::new(ledger),
-            )
-        }
-        None => RecommendationService::with_backend(backend, utility, config),
-    };
-    let telemetry = super::build_telemetry(opts.metrics_out.as_deref(), opts.trace.as_deref());
-    service.set_telemetry(telemetry.clone());
+    let events = multiplex(&requests, opts.batch, &mutations, opts.mutation_batch, flags.seed);
     // Captured before the run: mid-stream compaction re-bases the service
     // onto an in-RAM CSR, and the report should name the backing the
     // daemon *started* serving from.
@@ -133,22 +89,25 @@ pub fn run(opts: &DaemonOptions) {
         &events,
         &DaemonConfig {
             queue_capacity: opts.queue,
-            workers: opts.threads,
+            workers: flags.threads,
             clock: opts.rate.map(ReplayClock::new),
             heartbeat: opts.heartbeat.map(Duration::from_secs),
         },
     )
     .unwrap_or_else(|e| panic!("daemon stopped: {e}"));
     service.export_gauges();
-    let snapshot =
-        super::finish_telemetry(&telemetry, opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let snapshot = super::finish_telemetry(
+        service.telemetry(),
+        flags.metrics_out.as_deref(),
+        flags.trace.as_deref(),
+    );
 
     let report = DaemonReport {
         utility: utility_name,
-        engine: engine.name().to_owned(),
+        engine: service.config().engine.name().to_owned(),
         backend: backend_kind,
-        epsilon_per_request: opts.epsilon,
-        budget_per_target: opts.budget,
+        epsilon_per_request: flags.epsilon,
+        budget_per_target: flags.budget,
         sensitivity: service.sensitivity(),
         ledger: service.ledger_description(),
         request_events: opts.request_events,
@@ -180,7 +139,7 @@ pub fn run(opts: &DaemonOptions) {
         report.metrics.throughput_rps,
         report.ledger,
     );
-    match &opts.json {
+    match &flags.json {
         Some(path) => {
             std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             println!("{headline} -> {path}");

@@ -13,12 +13,16 @@ mod serve_cmd;
 
 use std::sync::Arc;
 
+use psr_core::serving::{RecommendationService, ServiceConfig};
+use psr_core::JournalLedger;
 use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::io::IdMap;
 use psr_graph::{CompressedCsr, Direction, Graph, GraphBackend};
 use psr_obs::{MetricsSnapshot, Telemetry};
+use psr_privacy::TopKEngine;
+use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 
-use crate::args::Command;
+use crate::args::{Command, ServingFlags};
 
 /// Dispatches a parsed command.
 pub fn run(cmd: Command) {
@@ -105,6 +109,58 @@ pub(crate) fn load_serving_backend(
         other => unreachable!("arg parser admits only known backends, got {other}"),
     };
     (backend, ids)
+}
+
+/// Builds the service `serve` and `daemon` run from their shared flags:
+/// the selected backing, utility and top-k engine, the telemetry bundle
+/// `--metrics-out`/`--trace` ask for, and a budget ledger — journalled at
+/// `journal` (replaying earlier spend) or volatile when `None`. Returns
+/// the service and its utility's name.
+pub(crate) fn build_service(
+    flags: &ServingFlags,
+    journal: Option<&str>,
+) -> (RecommendationService, String) {
+    let (backend, _ids) = load_serving_backend(
+        flags.input.as_deref(),
+        flags.directed,
+        &flags.preset,
+        flags.scale,
+        flags.seed,
+        &flags.backend,
+        flags.snapshot.as_deref(),
+    );
+    let utility: Box<dyn UtilityFunction> = match flags.utility.as_str() {
+        "common-neighbors" => Box::new(CommonNeighbors),
+        "weighted-paths" => Box::new(WeightedPaths::paper(flags.gamma)),
+        other => unreachable!("arg parser admits only known utilities, got {other}"),
+    };
+    let utility_name = utility.name();
+    let engine: TopKEngine = flags
+        .engine
+        .parse()
+        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"));
+    let config = ServiceConfig {
+        epsilon_per_request: flags.epsilon,
+        budget_per_target: flags.budget,
+        engine,
+        threads: flags.threads,
+        ..Default::default()
+    };
+    let mut service = match journal {
+        Some(path) => {
+            let ledger = JournalLedger::open(path, flags.budget)
+                .unwrap_or_else(|e| panic!("opening budget ledger {path}: {e}"));
+            RecommendationService::with_backend_and_ledger(
+                backend,
+                utility,
+                config,
+                Box::new(ledger),
+            )
+        }
+        None => RecommendationService::with_backend(backend, utility, config),
+    };
+    service.set_telemetry(build_telemetry(flags.metrics_out.as_deref(), flags.trace.as_deref()));
+    (service, utility_name)
 }
 
 /// Builds a command's telemetry bundle: live when `--metrics-out` or

@@ -5,10 +5,10 @@
 //! With `--mutations muts.json` the run becomes *dynamic*: the request
 //! list is split into `batches + 1` contiguous chunks, and after chunk
 //! `i` the i-th mutation batch is applied
-//! ([`RecommendationService::apply_mutations`]), opening a new graph
-//! epoch for the remaining chunks. Budgets persist across epochs (the
-//! paper's per-node guarantee composes over graph versions), and the
-//! report records what each epoch dirtied.
+//! ([`psr_core::serving::RecommendationService::apply_mutations`]),
+//! opening a new graph epoch for the remaining chunks. Budgets persist
+//! across epochs (the paper's per-node guarantee composes over graph
+//! versions), and the report records what each epoch dirtied.
 //!
 //! Since the daemon landed, this command is a thin wrapper: it turns the
 //! chunks and the schedule into a [`DaemonEvent`] sequence and drains it
@@ -16,12 +16,10 @@
 //! the daemon loop, so the two can never disagree.
 
 use psr_core::serving::daemon::{run_daemon, DaemonConfig, DaemonEvent};
-use psr_core::serving::{BatchRequest, RecommendationService, ServeError, Served, ServiceConfig};
+use psr_core::serving::{BatchRequest, ServeError, Served};
 use psr_gen::split_seed;
 use psr_graph::EdgeMutation;
 use psr_obs::MetricsSnapshot;
-use psr_privacy::TopKEngine;
-use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 use serde::Serialize;
 
 use crate::args::ServeOptions;
@@ -112,38 +110,8 @@ pub fn run(opts: &ServeOptions) {
         None => Vec::new(),
     };
 
-    let (backend, _ids) = super::load_serving_backend(
-        opts.input.as_deref(),
-        opts.directed,
-        &opts.preset,
-        opts.scale,
-        opts.seed,
-        &opts.backend,
-        opts.snapshot.as_deref(),
-    );
-    let utility: Box<dyn UtilityFunction> = match opts.utility.as_str() {
-        "common-neighbors" => Box::new(CommonNeighbors),
-        "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
-        other => unreachable!("arg parser admits only known utilities, got {other}"),
-    };
-    let utility_name = utility.name();
-    let engine: TopKEngine = opts
-        .engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"));
-    let mut service = RecommendationService::with_backend(
-        backend,
-        utility,
-        ServiceConfig {
-            epsilon_per_request: opts.epsilon,
-            budget_per_target: opts.budget,
-            engine,
-            threads: opts.threads,
-            ..Default::default()
-        },
-    );
-    let telemetry = super::build_telemetry(opts.metrics_out.as_deref(), opts.trace.as_deref());
-    service.set_telemetry(telemetry.clone());
+    let flags = &opts.serving;
+    let (service, utility_name) = super::build_service(flags, None);
     // Captured before the run: mid-stream compaction re-bases the service
     // onto an in-RAM CSR, and the report should name the backing the run
     // *started* from.
@@ -158,7 +126,7 @@ pub fn run(opts: &ServeOptions) {
     for (round, chunk) in chunks.iter().enumerate() {
         // Round 0 keeps the static-serve seed derivation so mutation-free
         // runs reproduce exactly what they did before epochs existed.
-        let seed = if round == 0 { opts.seed } else { split_seed(opts.seed, round as u64) };
+        let seed = if round == 0 { flags.seed } else { split_seed(flags.seed, round as u64) };
         events.push(DaemonEvent::Requests {
             time: 2 * round as u64 + 1,
             seed,
@@ -183,7 +151,7 @@ pub fn run(opts: &ServeOptions) {
             chunks[batch.index]
                 .iter()
                 .zip(&batch.outcomes)
-                .map(|(request, outcome)| record(request, outcome, batch.epoch, opts.epsilon))
+                .map(|(request, outcome)| record(request, outcome, batch.epoch, flags.epsilon))
         })
         .collect();
     let epochs: Vec<EpochRecord> = run
@@ -200,15 +168,18 @@ pub fn run(opts: &ServeOptions) {
         .collect();
 
     service.export_gauges();
-    let snapshot =
-        super::finish_telemetry(&telemetry, opts.metrics_out.as_deref(), opts.trace.as_deref());
+    let snapshot = super::finish_telemetry(
+        service.telemetry(),
+        flags.metrics_out.as_deref(),
+        flags.trace.as_deref(),
+    );
 
     let report = ServeReport {
         utility: utility_name,
-        engine: engine.name().to_owned(),
+        engine: service.config().engine.name().to_owned(),
         backend: backend_kind,
-        epsilon_per_request: opts.epsilon,
-        budget_per_target: opts.budget,
+        epsilon_per_request: flags.epsilon,
+        budget_per_target: flags.budget,
         sensitivity: service.sensitivity(),
         served: records.iter().filter(|r| r.error.is_none()).count(),
         rejected: records.iter().filter(|r| r.error.is_some()).count(),
@@ -217,7 +188,7 @@ pub fn run(opts: &ServeOptions) {
         telemetry: snapshot,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialisable");
-    match &opts.json {
+    match &flags.json {
         Some(path) => {
             std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
             println!(

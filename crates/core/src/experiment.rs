@@ -36,7 +36,7 @@ pub struct ExperimentConfig {
     /// Evaluate the Laplace mechanism too (it is ~`laplace_trials`× the
     /// cost of the closed-form Exponential evaluation).
     pub eval_laplace: bool,
-    /// Sensitivity norm for `Δf` (DESIGN.md §4).
+    /// Sensitivity norm for `Δf` (footnote 5 leaves it unsubscripted).
     pub sensitivity_norm: SensitivityNorm,
     /// Worker threads; `None` = available parallelism.
     pub threads: Option<usize>,

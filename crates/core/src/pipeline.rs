@@ -17,7 +17,7 @@ pub struct RecommenderConfig {
     /// Differential-privacy parameter ε.
     pub epsilon: f64,
     /// Which norm reading of footnote 5's `Δf` calibrates the mechanisms
-    /// (DESIGN.md §4; default `‖·‖₁`).
+    /// (the paper leaves it unsubscripted; default `‖·‖₁`).
     pub sensitivity_norm: SensitivityNorm,
     /// Override for `Δf` when the utility function reports no analytic
     /// bound (e.g. exotic custom utilities).

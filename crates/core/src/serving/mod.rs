@@ -353,11 +353,11 @@ impl RecommendationService {
     }
 
     /// Assembles a service at epoch 0 over any [`GraphBackend`] — in-RAM
-    /// CSR, compressed (possibly mmap-backed) snapshot, or sharded
-    /// segments — with a volatile in-memory budget ledger. The serving
-    /// pipeline reads the base purely through [`psr_graph::GraphView`], so
-    /// outcomes are bit-identical across backings (the `graph_backend`
-    /// conformance suite asserts this).
+    /// CSR or compressed (possibly mmap-backed) snapshot — with a volatile
+    /// in-memory budget ledger. The serving pipeline reads the base purely
+    /// through [`psr_graph::GraphView`], so outcomes are bit-identical
+    /// across backings (the `graph_backend` conformance suite asserts
+    /// this).
     ///
     /// # Panics
     /// Same contract as [`RecommendationService::new`].
@@ -478,25 +478,19 @@ impl RecommendationService {
     /// [`RecommendationService::snapshot`] materialises them.
     ///
     /// For the CSR backend this is a cheap `Arc` clone sharing the exact
-    /// snapshot. Other backends (compressed, sharded) are materialised
-    /// into a fresh in-RAM CSR on each call — an O(arcs) decode — so
-    /// wire-once-and-share is the intended pattern there.
+    /// snapshot. The compressed backend is materialised into a fresh
+    /// in-RAM CSR on each call — an O(arcs) decode — so wire-once-and-share
+    /// is the intended pattern there.
     pub fn shared_graph(&self) -> Arc<Graph> {
         self.pin().state.graph.base().to_graph_arc()
     }
 
-    /// Short name of the current epoch's base backing (`"csr"`,
-    /// `"compressed"`, `"sharded"`), for reports and logs. Compaction
-    /// re-bases onto an in-RAM CSR, so a service started on the compressed
-    /// backend reports `"csr"` after its first compaction.
+    /// Short name of the current epoch's base backing (`"csr"` or
+    /// `"compressed"`), for reports and logs. Compaction re-bases onto an
+    /// in-RAM CSR, so a service started on the compressed backend reports
+    /// `"csr"` after its first compaction.
     pub fn backend_kind(&self) -> &'static str {
         self.pin().state.graph.base().kind()
-    }
-
-    /// The current read view, pinned: base CSR plus pending overlay
-    /// mutations as of the current epoch.
-    pub fn view(&self) -> EpochPin {
-        self.pin()
     }
 
     /// A fresh CSR snapshot of the current edge set (compacts the
@@ -833,7 +827,7 @@ mod tests {
             assert_eq!(set.len(), 3, "slots must be distinct");
             for &v in &served.recommendations {
                 assert_ne!(v, served.target);
-                assert!(!svc.view().has_edge(served.target, v), "recommended an existing edge");
+                assert!(!svc.pin().has_edge(served.target, v), "recommended an existing edge");
             }
             assert_eq!(served.epsilon_spent, 1.0);
         }
@@ -906,7 +900,7 @@ mod tests {
     fn oversized_k_is_clamped_to_the_candidate_set() {
         let svc = service(ServiceConfig::default());
         let served = svc.serve_one(0, 10_000, 3).unwrap();
-        let candidates = CandidateSet::for_target(&svc.view(), 0);
+        let candidates = CandidateSet::for_target(&svc.pin(), 0);
         assert_eq!(served.requested_k, 10_000);
         assert_eq!(served.recommendations.len(), candidates.len());
         let set: std::collections::HashSet<_> = served.recommendations.iter().collect();
@@ -924,7 +918,7 @@ mod tests {
         });
         let served = svc.serve_one(0, 8, 11).unwrap();
         assert!(served.zero_class_picks > 0, "tiny ε must hit the zero class");
-        let candidates = CandidateSet::for_target(&svc.view(), 0);
+        let candidates = CandidateSet::for_target(&svc.pin(), 0);
         let set: std::collections::HashSet<_> = served.recommendations.iter().collect();
         assert_eq!(set.len(), served.recommendations.len());
         for &v in &served.recommendations {
@@ -944,7 +938,7 @@ mod tests {
                 assert_eq!(set.len(), 3, "{engine:?}: slots must be distinct");
                 for &v in &served.recommendations {
                     assert_ne!(v, served.target);
-                    assert!(!svc.view().has_edge(served.target, v), "{engine:?}");
+                    assert!(!svc.pin().has_edge(served.target, v), "{engine:?}");
                 }
                 // The ε charge is engine-independent: same budget spend.
                 assert_eq!(served.epsilon_spent, 1.0, "{engine:?}");
@@ -1009,19 +1003,19 @@ mod tests {
     fn mutations_open_a_new_epoch_and_update_reads() {
         let svc = service(ServiceConfig::default());
         assert_eq!(svc.epoch(), 0);
-        assert!(svc.view().has_edge(0, 1));
+        assert!(svc.pin().has_edge(0, 1));
         let epoch =
             svc.apply_mutations(&[EdgeMutation::delete(0, 1), EdgeMutation::insert(0, 9)]).unwrap();
         assert_eq!(epoch.version, 1);
         assert_eq!(svc.epoch(), 1);
         assert_eq!(epoch.insertions, 1);
         assert_eq!(epoch.deletions, 1);
-        assert!(!svc.view().has_edge(0, 1));
-        assert!(svc.view().has_edge(0, 9));
+        assert!(!svc.pin().has_edge(0, 1));
+        assert!(svc.pin().has_edge(0, 9));
         // Recommendations in the new epoch respect the new edge set.
         let served = svc.serve_one(0, 3, 7).unwrap();
         for &v in &served.recommendations {
-            assert!(!svc.view().has_edge(0, v));
+            assert!(!svc.pin().has_edge(0, v));
             assert_ne!(v, 0);
         }
     }
@@ -1037,7 +1031,7 @@ mod tests {
         assert_eq!(pin.version(), 0);
         assert_eq!(svc.epoch(), 1);
         assert!(pin.has_edge(0, 1), "the pin still reads epoch 0");
-        assert!(!svc.view().has_edge(0, 1), "fresh pins read epoch 1");
+        assert!(!svc.pin().has_edge(0, 1), "fresh pins read epoch 1");
         let replay = svc.serve_batch_pinned(&pin, &requests(2), 21);
         assert_eq!(before, replay, "pinned serving is bit-identical across the swap");
     }
@@ -1080,7 +1074,7 @@ mod tests {
         }
         assert!(err.to_string().contains("mutation #1"));
         assert_eq!(svc.epoch(), 0);
-        assert!(!svc.view().has_edge(0, 9), "partial batch must be rolled back");
+        assert!(!svc.pin().has_edge(0, 9), "partial batch must be rolled back");
         svc.reset_budgets();
         assert_eq!(svc.serve_batch(&requests(2), 9), before, "serving state untouched");
     }
@@ -1128,10 +1122,10 @@ mod tests {
         assert!(muts.len() >= 10);
         let epoch = svc.apply_mutations(&muts).unwrap();
         assert!(epoch.compacted);
-        assert!(svc.view().graph().is_clean(), "overlay folded into the new base");
+        assert!(svc.pin().graph().is_clean(), "overlay folded into the new base");
         assert!(!Arc::ptr_eq(&svc.shared_graph(), &base), "re-based onto a fresh CSR");
         for m in &muts {
-            assert!(svc.view().has_edge(m.u, m.v));
+            assert!(svc.pin().has_edge(m.u, m.v));
         }
     }
 

@@ -9,8 +9,9 @@
 //!
 //! [`wiki_vote_like`] and [`twitter_like`] generate synthetic stand-ins
 //! with matched node/edge counts, heavy-tailed degree structure, and (for
-//! the Twitter preset) a forced 13k-degree hub; DESIGN.md §3 argues why
-//! this preserves every behaviour the experiments measure. When the real
+//! the Twitter preset) a forced 13k-degree hub — the experiments' accuracy
+//! curves depend on degree structure, not node identities, so the matched
+//! stand-ins preserve every behaviour they measure. When the real
 //! SNAP files are available, [`load_snap`] drops them in transparently.
 //! [`toy::karate_club`] ships a small classic graph for examples and
 //! tests.

@@ -98,7 +98,8 @@ pub struct ExperimentPlan {
     pub engines: Vec<String>,
     /// Path-damping γ for `weighted-paths`.
     pub gamma: f64,
-    /// Smoothing-mechanism parameter `x` (Theorem 5).
+    /// Smoothing-mechanism mixing weight `x ∈ [0, 1)` (Theorem 5); only
+    /// checked when `smoothing` is on the mechanism axis.
     pub smoothing_x: f64,
     /// Observation rounds per transcript.
     pub rounds: usize,
@@ -129,7 +130,7 @@ impl ExperimentPlan {
             epsilons: vec![0.5, 2.0],
             engines: vec!["gumbel".to_owned()],
             gamma: 0.5,
-            smoothing_x: 2.0,
+            smoothing_x: 0.05,
             rounds: 2,
             k: 1,
             trials_per_world: 12,
@@ -214,8 +215,9 @@ impl ExperimentPlan {
         if !(self.gamma > 0.0 && self.gamma < 1.0) {
             return Err(format!("gamma {} out of range (0, 1)", self.gamma));
         }
-        if !(self.smoothing_x > 1.0 && self.smoothing_x.is_finite()) {
-            return Err(format!("smoothing_x {} must be a finite value above 1", self.smoothing_x));
+        let smoothing = self.mechanisms.iter().any(|m| m == "smoothing");
+        if smoothing && !(0.0..1.0).contains(&self.smoothing_x) {
+            return Err(format!("smoothing_x {} must be in [0, 1)", self.smoothing_x));
         }
         Ok(())
     }
@@ -346,5 +348,13 @@ mod tests {
         let mut plan = ExperimentPlan::toy();
         plan.engines.clear();
         assert!(plan.validate().unwrap_err().contains("empty engine axis"));
+
+        let mut plan = ExperimentPlan::toy();
+        plan.mechanisms = vec!["smoothing".to_owned()];
+        plan.smoothing_x = 1.0;
+        assert!(plan.validate().unwrap_err().contains("smoothing_x"));
+        // Without a smoothing cell the parameter is unused and unchecked.
+        plan.mechanisms = vec!["laplace".to_owned()];
+        plan.validate().unwrap();
     }
 }

@@ -89,10 +89,10 @@ impl DeltaGraph {
         DeltaGraph::with_backend(GraphBackend::Csr(base.into()))
     }
 
-    /// Wraps any [`GraphBackend`] — in-RAM CSR, compressed snapshot, or
-    /// sharded segments — in an empty overlay. The overlay layer itself is
-    /// backend-oblivious: clean nodes read straight through, dirty nodes
-    /// seed their merged list from whatever backing serves `neighbors`.
+    /// Wraps any [`GraphBackend`] — in-RAM CSR or compressed snapshot — in
+    /// an empty overlay. The overlay layer itself is backend-oblivious:
+    /// clean nodes read straight through, dirty nodes seed their merged
+    /// list from whatever backing serves `neighbors`.
     pub fn with_backend(base: GraphBackend) -> Self {
         let num_edges = base.num_edges();
         DeltaGraph {

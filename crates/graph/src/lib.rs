@@ -23,7 +23,8 @@
 //!   mutation steps the view to an edge-adjacent graph in the sense of
 //!   the paper's Definition 1, which is the granularity the serving
 //!   layer's epoch/ε-budget accounting reasons about.
-//! * [`io`] — SNAP-style edge-list text I/O plus a compact binary snapshot
+//! * [`io`] — SNAP-style edge-list text I/O.
+//! * [`compressed`] — the `PSRZ` compressed, sharded, mmap-able snapshot
 //!   format.
 //! * [`algo`] — BFS, connected components, degree statistics, truncated
 //!   walk counting and common-neighbour counting (generic over
@@ -69,7 +70,7 @@ pub use delta::DeltaGraph;
 pub use error::GraphError;
 pub use mutation::{rewire_node, EdgeMutation, MutationOp};
 pub use node::NodeId;
-pub use shard::{degree_balanced_shards, shards_from_degrees, ShardRange, ShardedGraph};
+pub use shard::{degree_balanced_shards, shards_from_degrees, ShardRange};
 pub use view::{GraphBackend, GraphView};
 
 /// Crate-wide result alias.

@@ -4,15 +4,11 @@
 //! of stored arcs inside it. Partitions are *degree balanced*: boundaries are
 //! chosen so every shard carries roughly `total_arcs / shard_count` arcs
 //! (within one node's degree, since ranges stay contiguous). The compressed
-//! snapshot format embeds the partition as its shard manifest, and
-//! [`ShardedGraph`] serves reads from per-shard CSR segments behind
-//! [`GraphView`] so kernels and the serving layer never see the split.
+//! snapshot format embeds the partition as its shard manifest.
 
 use serde::{Deserialize, Serialize};
 
-use crate::builder::Direction;
-use crate::csr::Graph;
-use crate::node::{ix, NodeId};
+use crate::node::NodeId;
 use crate::view::GraphView;
 
 /// A contiguous node range `[start, end)` holding `arcs` stored arcs.
@@ -89,128 +85,9 @@ pub fn degree_balanced_shards<V: GraphView + ?Sized>(
     shards_from_degrees(&degrees, shard_count)
 }
 
-/// One shard's CSR segment: local offsets into its own target array.
-#[derive(Debug, Clone)]
-struct Segment {
-    /// Global id of the segment's first node.
-    start: usize,
-    /// Local offsets; `offsets[v - start]..offsets[v - start + 1]` indexes
-    /// `targets`.
-    offsets: Vec<u64>,
-    /// Concatenated sorted neighbour lists for the shard's nodes.
-    targets: Vec<NodeId>,
-}
-
-/// A graph split into degree-balanced per-shard CSR segments.
-///
-/// Reads dispatch to the owning segment via binary search on shard starts;
-/// the segments jointly hold exactly the arcs of the source view. This is the
-/// in-RAM sharded backing — it trades one extra indirection per read for
-/// per-shard locality and a layout that mirrors the snapshot manifest.
-#[derive(Debug, Clone)]
-pub struct ShardedGraph {
-    direction: Direction,
-    num_edges: usize,
-    num_arcs: usize,
-    /// `starts[i]` is the first node of shard `i`; sorted ascending.
-    starts: Vec<NodeId>,
-    segments: Vec<Segment>,
-    ranges: Vec<ShardRange>,
-}
-
-impl ShardedGraph {
-    /// Splits `view` into `shard_count` degree-balanced segments.
-    pub fn from_view<V: GraphView + ?Sized>(view: &V, shard_count: usize) -> ShardedGraph {
-        let ranges = degree_balanced_shards(view, shard_count);
-        let mut segments = Vec::with_capacity(ranges.len());
-        let mut starts = Vec::with_capacity(ranges.len());
-        let mut num_arcs = 0usize;
-        for r in &ranges {
-            let mut offsets = Vec::with_capacity(r.num_nodes() + 1);
-            offsets.push(0u64);
-            let mut targets = Vec::with_capacity(r.arcs as usize);
-            for v in r.start..r.end {
-                targets.extend_from_slice(view.neighbors(v));
-                offsets.push(targets.len() as u64);
-            }
-            num_arcs += targets.len();
-            starts.push(r.start);
-            segments.push(Segment { start: ix(r.start), offsets, targets });
-        }
-        ShardedGraph {
-            direction: view.direction(),
-            num_edges: view.num_edges(),
-            num_arcs,
-            starts,
-            segments,
-            ranges,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// The shard ranges, in node order.
-    pub fn shard_ranges(&self) -> &[ShardRange] {
-        &self.ranges
-    }
-
-    /// Index of the shard owning node `v`.
-    ///
-    /// # Panics
-    /// Panics if `v` is out of range.
-    pub fn shard_of(&self, v: NodeId) -> usize {
-        assert!(ix(v) < self.num_nodes(), "node {v} out of range");
-        self.starts.partition_point(|&s| s <= v) - 1
-    }
-
-    /// Materialises the sharded view back into a single CSR graph.
-    pub fn to_graph(&self) -> Graph {
-        Graph::from_view(self)
-    }
-}
-
-impl GraphView for ShardedGraph {
-    fn num_nodes(&self) -> usize {
-        self.ranges.last().map_or(0, |r| ix(r.end))
-    }
-
-    fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let seg = &self.segments[self.shard_of(v)];
-        let local = ix(v) - seg.start;
-        let lo = seg.offsets[local] as usize;
-        let hi = seg.offsets[local + 1] as usize;
-        &seg.targets[lo..hi]
-    }
-
-    fn degree(&self, v: NodeId) -> usize {
-        let seg = &self.segments[self.shard_of(v)];
-        let local = ix(v) - seg.start;
-        (seg.offsets[local + 1] - seg.offsets[local]) as usize
-    }
-}
-
-impl ShardedGraph {
-    /// Total stored arcs across all segments.
-    pub fn num_arcs(&self) -> usize {
-        self.num_arcs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::undirected_from_edges;
 
     #[test]
     fn shards_cover_contiguously_and_sum_arcs() {
@@ -244,26 +121,6 @@ mod tests {
         let ideal = total / k as u64;
         for s in &shards {
             assert!(s.arcs <= ideal + max_d + 1, "shard {s:?} overloaded vs ideal {ideal}");
-        }
-    }
-
-    #[test]
-    fn sharded_graph_reads_match_csr() {
-        let g = undirected_from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
-        for k in 1..=6 {
-            let s = ShardedGraph::from_view(&g, k);
-            assert_eq!(s.num_nodes(), g.num_nodes());
-            assert_eq!(s.num_edges(), g.num_edges());
-            assert_eq!(s.num_arcs(), g.num_arcs());
-            for v in g.nodes() {
-                assert_eq!(s.neighbors(v), g.neighbors(v), "shards={k} node={v}");
-                assert_eq!(GraphView::degree(&s, v), g.degree(v));
-                assert_eq!(
-                    s.shard_of(v),
-                    s.shard_ranges().iter().position(|r| r.contains(v)).unwrap()
-                );
-            }
-            assert_eq!(s.to_graph(), g);
         }
     }
 }

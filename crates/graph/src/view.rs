@@ -21,7 +21,6 @@ use crate::builder::Direction;
 use crate::compressed::{CacheStats, CompressedCsr};
 use crate::csr::Graph;
 use crate::node::NodeId;
-use crate::shard::ShardedGraph;
 
 /// Read-only access to a simple graph with sorted adjacency.
 ///
@@ -145,8 +144,8 @@ forward_graph_view!(&V, Arc<V>, Box<V>);
 ///
 /// `DeltaGraph` and the serving layer hold one of these instead of a
 /// concrete `Arc<Graph>`, which is how kernels and `RecommendationService`
-/// stay oblivious to whether reads come from the in-RAM CSR, the
-/// compressed (possibly mmap-backed) snapshot, or the sharded segments.
+/// stay oblivious to whether reads come from the in-RAM CSR
+/// or the compressed (possibly mmap-backed) snapshot.
 #[derive(Debug, Clone)]
 pub enum GraphBackend {
     /// Plain in-RAM CSR.
@@ -154,8 +153,6 @@ pub enum GraphBackend {
     /// Varint/delta compressed snapshot ([`CompressedCsr`]), decoding
     /// neighbour runs on demand.
     Compressed(Arc<CompressedCsr>),
-    /// Degree-balanced per-shard CSR segments ([`ShardedGraph`]).
-    Sharded(Arc<ShardedGraph>),
 }
 
 impl GraphBackend {
@@ -164,7 +161,6 @@ impl GraphBackend {
         match self {
             GraphBackend::Csr(_) => "csr",
             GraphBackend::Compressed(_) => "compressed",
-            GraphBackend::Sharded(_) => "sharded",
         }
     }
 
@@ -177,12 +173,12 @@ impl GraphBackend {
     }
 
     /// Decode-cache statistics, for backends that decode on demand:
-    /// `Some` for [`GraphBackend::Compressed`], `None` for the in-RAM
-    /// backings, which have no cache. No downcasting needed.
+    /// `Some` for [`GraphBackend::Compressed`], `None` for the in-RAM CSR,
+    /// which has no cache. No downcasting needed.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         match self {
             GraphBackend::Compressed(z) => Some(z.cache_stats()),
-            GraphBackend::Csr(_) | GraphBackend::Sharded(_) => None,
+            GraphBackend::Csr(_) => None,
         }
     }
 
@@ -192,7 +188,6 @@ impl GraphBackend {
         match self {
             GraphBackend::Csr(g) => Arc::clone(g),
             GraphBackend::Compressed(z) => Arc::new(z.to_graph()),
-            GraphBackend::Sharded(s) => Arc::new(s.to_graph()),
         }
     }
 }
@@ -221,24 +216,11 @@ impl From<Arc<CompressedCsr>> for GraphBackend {
     }
 }
 
-impl From<ShardedGraph> for GraphBackend {
-    fn from(s: ShardedGraph) -> Self {
-        GraphBackend::Sharded(Arc::new(s))
-    }
-}
-
-impl From<Arc<ShardedGraph>> for GraphBackend {
-    fn from(s: Arc<ShardedGraph>) -> Self {
-        GraphBackend::Sharded(s)
-    }
-}
-
 impl GraphView for GraphBackend {
     fn num_nodes(&self) -> usize {
         match self {
             GraphBackend::Csr(g) => g.num_nodes(),
             GraphBackend::Compressed(z) => GraphView::num_nodes(&**z),
-            GraphBackend::Sharded(s) => GraphView::num_nodes(&**s),
         }
     }
 
@@ -246,7 +228,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.num_edges(),
             GraphBackend::Compressed(z) => GraphView::num_edges(&**z),
-            GraphBackend::Sharded(s) => GraphView::num_edges(&**s),
         }
     }
 
@@ -254,7 +235,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.direction(),
             GraphBackend::Compressed(z) => GraphView::direction(&**z),
-            GraphBackend::Sharded(s) => GraphView::direction(&**s),
         }
     }
 
@@ -262,7 +242,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.neighbors(v),
             GraphBackend::Compressed(z) => GraphView::neighbors(&**z, v),
-            GraphBackend::Sharded(s) => GraphView::neighbors(&**s, v),
         }
     }
 
@@ -270,7 +249,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.degree(v),
             GraphBackend::Compressed(z) => GraphView::degree(&**z, v),
-            GraphBackend::Sharded(s) => GraphView::degree(&**s, v),
         }
     }
 
@@ -278,7 +256,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.has_edge(u, v),
             GraphBackend::Compressed(z) => GraphView::has_edge(&**z, u, v),
-            GraphBackend::Sharded(s) => GraphView::has_edge(&**s, u, v),
         }
     }
 
@@ -286,7 +263,6 @@ impl GraphView for GraphBackend {
         match self {
             GraphBackend::Csr(g) => g.max_degree(),
             GraphBackend::Compressed(z) => GraphView::max_degree(&**z),
-            GraphBackend::Sharded(s) => GraphView::max_degree(&**s),
         }
     }
 }
@@ -321,8 +297,7 @@ mod tests {
         let csr = GraphBackend::from(g.clone());
         let compressed =
             GraphBackend::from(CompressedCsr::open_bytes(CompressedCsr::encode(&g, 2)).unwrap());
-        let sharded = GraphBackend::from(ShardedGraph::from_view(&g, 2));
-        for backend in [&csr, &compressed, &sharded] {
+        for backend in [&csr, &compressed] {
             assert_eq!(reads(backend), expected, "backend {}", backend.kind());
             assert_eq!(backend.max_degree(), 3);
             assert_eq!(backend.degree(2), 3);
@@ -332,7 +307,6 @@ mod tests {
         assert!(csr.as_csr().is_some());
         assert!(compressed.as_csr().is_none());
         assert_eq!(compressed.kind(), "compressed");
-        assert_eq!(sharded.kind(), "sharded");
     }
 
     #[test]

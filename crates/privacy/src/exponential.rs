@@ -13,7 +13,7 @@ use crate::mechanism::{Mechanism, Recommendation};
 /// `e^{ε·uᵢ/(2Δf)}` (the factor 2 covers utility functions whose
 /// normaliser can also shift between neighbouring inputs). We default to
 /// the paper's form for fidelity and expose the textbook form for the
-/// `ablation_exp_scaling` bench; DESIGN.md §4 records the discrepancy.
+/// `ablation_exp_scaling` bench, which measures the discrepancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ExponentialScaling {
     /// `exp(ε·u/Δf)` — Definition 5 as printed.

@@ -165,3 +165,32 @@ fn killed_sweep_resumes_to_a_byte_identical_report() {
     let resumed = FrontierReport::assemble(&plan, second.fingerprint, second.results);
     assert_eq!(resumed.to_json(), reference.to_json(), "resume must be byte-identical");
 }
+
+#[test]
+fn smoothing_cells_run_to_completion() {
+    // The plan's `smoothing_x` is the same `[0, 1)` mixing weight the
+    // attack harness accepts, so a smoothing plan validates and every
+    // cell runs through the two-world engine.
+    let plan = ExperimentPlan {
+        name: "smoothing".to_owned(),
+        mechanisms: vec!["smoothing".to_owned()],
+        adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+        ..ExperimentPlan::toy()
+    };
+    plan.validate().unwrap();
+    let outcome = run_sweep(&plan, &SweepOptions::default()).unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.total, 2, "smoothing collapses the ε and engine axes");
+    for cell in &outcome.results {
+        let id = &cell.spec.adjacency;
+        assert_eq!(cell.spec.mechanism, "smoothing", "{id}");
+        assert_eq!(cell.spec.epsilon, None, "{id}");
+        assert_eq!(cell.accuracy_bound, 1.0, "{id}: the theory is vacuous for smoothing");
+        let accuracy = cell.mean_accuracy.unwrap_or_else(|| panic!("{id}: no accuracy"));
+        assert!((0.0..=1.0).contains(&accuracy), "{id}: accuracy {accuracy}");
+        assert_eq!(cell.adversaries.len(), 3, "{id}");
+        for adversary in &cell.adversaries {
+            assert!(adversary.empirical_epsilon.is_finite(), "{id}/{}", adversary.adversary);
+        }
+    }
+}

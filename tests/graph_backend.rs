@@ -1,6 +1,6 @@
 //! Backend-obliviousness: kernels, utilities and the serving stack must
 //! produce bit-identical results whether the graph is backed by the
-//! in-RAM CSR, the compressed `PSRZ` snapshot, or degree-balanced shards.
+//! in-RAM CSR or the compressed `PSRZ` snapshot.
 //!
 //! The serving pipeline reads its base purely through
 //! [`psr_graph::GraphView`], so a divergence here means a backend decodes
@@ -18,48 +18,42 @@ use std::sync::Arc;
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_datasets::{livejournal_like_snapshot, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::algo::{common_neighbor_count, common_neighbor_counts};
-use psr_graph::{CompressedCsr, Graph, GraphBackend, GraphView, NodeId, ShardedGraph};
+use psr_graph::{CompressedCsr, Graph, GraphBackend, GraphView, NodeId};
 use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 
 fn wiki() -> Graph {
     wiki_vote_like(PresetConfig::scaled(0.05, 2011)).unwrap().0
 }
 
-/// The three backings of the same graph, plus the graph itself.
-fn backings(graph: &Graph) -> (Arc<CompressedCsr>, Arc<ShardedGraph>) {
-    let compressed =
-        CompressedCsr::open_bytes(CompressedCsr::encode(graph, 4)).expect("fresh snapshot");
-    let sharded = ShardedGraph::from_view(graph, 4);
-    (Arc::new(compressed), Arc::new(sharded))
+/// The compressed backing of the same graph.
+fn compressed_backing(graph: &Graph) -> Arc<CompressedCsr> {
+    Arc::new(CompressedCsr::open_bytes(CompressedCsr::encode(graph, 4)).expect("fresh snapshot"))
 }
 
 #[test]
 fn kernels_agree_across_backends() {
     let graph = wiki();
-    let (compressed, sharded) = backings(&graph);
+    let compressed = compressed_backing(&graph);
     for v in graph.nodes().step_by(7) {
         let expect = common_neighbor_counts(&graph, v);
         assert_eq!(common_neighbor_counts(compressed.as_ref(), v), expect);
-        assert_eq!(common_neighbor_counts(sharded.as_ref(), v), expect);
     }
     for (u, v) in [(0, 1), (3, 11), (40, 41), (5, 100)] {
         let expect = common_neighbor_count(&graph, u, v);
         assert_eq!(common_neighbor_count(compressed.as_ref(), u, v), expect);
-        assert_eq!(common_neighbor_count(sharded.as_ref(), u, v), expect);
     }
 }
 
 #[test]
 fn utilities_agree_across_backends() {
     let graph = wiki();
-    let (compressed, sharded) = backings(&graph);
+    let compressed = compressed_backing(&graph);
     let utilities: [Box<dyn UtilityFunction>; 2] =
         [Box::new(CommonNeighbors), Box::new(WeightedPaths::default())];
     for utility in &utilities {
         for target in (0..graph.num_nodes() as NodeId).step_by(211) {
             let expect = utility.utilities_for(&graph, target);
             assert_eq!(utility.utilities_for(compressed.as_ref(), target), expect);
-            assert_eq!(utility.utilities_for(sharded.as_ref(), target), expect);
         }
     }
 }
@@ -67,7 +61,7 @@ fn utilities_agree_across_backends() {
 #[test]
 fn serving_is_bit_identical_across_backends() {
     let graph = wiki();
-    let (compressed, sharded) = backings(&graph);
+    let compressed = compressed_backing(&graph);
     let requests: Vec<BatchRequest> = graph
         .nodes()
         .filter(|&v| graph.degree(v) > 0)
@@ -83,12 +77,9 @@ fn serving_is_bit_identical_across_backends() {
     };
     let csr = service(GraphBackend::from(graph));
     let expect = csr.serve_batch(&requests, 42);
-    let via_compressed = service(GraphBackend::Compressed(Arc::clone(&compressed)));
+    let via_compressed = service(GraphBackend::Compressed(compressed));
     assert_eq!(via_compressed.backend_kind(), "compressed");
     assert_eq!(via_compressed.serve_batch(&requests, 42), expect);
-    let via_sharded = service(GraphBackend::Sharded(sharded));
-    assert_eq!(via_sharded.backend_kind(), "sharded");
-    assert_eq!(via_sharded.serve_batch(&requests, 42), expect);
 }
 
 #[test]

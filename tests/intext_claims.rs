@@ -1,9 +1,10 @@
-//! The paper's in-text numeric claims (E7, E10, E11 in DESIGN.md),
-//! re-derived from our implementation.
+//! The paper's in-text numeric claims (§7.2), re-derived from our
+//! implementation.
 //!
 //! Exact §7.2 percentages depend on the authors' graphs; on the matched
 //! synthetic stand-ins we assert the *shape*: who wins, by roughly what
-//! factor, and where the cliffs fall (DESIGN.md §3).
+//! factor, and where the cliffs fall — the stand-ins match node/edge
+//! counts and degree skew, which is what those shapes depend on.
 
 use psr_bounds::corollary1_accuracy_upper_bound;
 use psr_bounds::theorems::{theorem1_eps_lower_asymptotic, theorem2_eps_lower_asymptotic};
