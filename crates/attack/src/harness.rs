@@ -37,7 +37,10 @@ use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{DeltaGraph, EdgeMutation, Graph, GraphView, NodeId};
 use psr_privacy::TopKEngine;
-use psr_utility::{CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction, UtilityVector};
+use psr_utility::{
+    calibrated_sensitivity, CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction,
+    UtilityVector,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
@@ -449,31 +452,28 @@ impl TwoWorldEngine {
     fn observation_model(&self, graph: &Arc<Graph>, observer: NodeId) -> ObservationModel {
         let candidates = CandidateSet::for_target(graph.as_ref(), observer);
         let utilities = self.utility.utilities(graph.as_ref(), observer, &candidates);
+        // Δf exactly as the serving layer calibrates it for `graph`.
+        let sensitivity = || {
+            calibrated_sensitivity(
+                self.utility.as_ref(),
+                graph.as_ref(),
+                self.params.sensitivity_norm,
+                self.params.sensitivity_override,
+            )
+        };
         let mechanism = match self.params.mechanism {
             AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK => {
                 MechanismModel::Exponential {
                     epsilon: self.params.mechanism.effective_epsilon(),
-                    sensitivity: self.calibrated_sensitivity(graph),
+                    sensitivity: sensitivity(),
                 }
             }
             AttackMechanism::Laplace { epsilon } => {
-                MechanismModel::Laplace { epsilon, sensitivity: self.calibrated_sensitivity(graph) }
+                MechanismModel::Laplace { epsilon, sensitivity: sensitivity() }
             }
             AttackMechanism::Smoothing { x } => MechanismModel::Smoothing { x },
         };
         ObservationModel { candidates, utilities, mechanism }
-    }
-
-    /// Δf exactly as the serving layer calibrates it for `graph`.
-    fn calibrated_sensitivity(&self, graph: &Arc<Graph>) -> f64 {
-        self.params
-            .sensitivity_override
-            .or_else(|| {
-                self.utility
-                    .sensitivity(graph.as_ref())
-                    .map(|s| s.value(self.params.sensitivity_norm))
-            })
-            .expect("utility reports no sensitivity and no override was given")
     }
 
     /// Per-trial seed, deliberately *world-independent*: trial `i` of

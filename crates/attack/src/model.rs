@@ -15,8 +15,10 @@
 //! ## Concrete-id probabilities
 //!
 //! The serving path resolves anonymous zero-utility-class draws to
-//! uniformly random *distinct* members
-//! ([`psr_privacy::resolve_zero_class_distinct`]). The uniform resolution
+//! uniformly random *distinct* members in uniformly random slot order
+//! ([`psr_privacy::resolve_zero_class_distinct`], the rank resolver every
+//! sampling path shares: one uniform rank per slot among the members not
+//! yet picked). The uniform resolution
 //! cancels the class multiplicity exactly: at every peel round, the
 //! probability of any *concrete* still-available pick `v` is
 //! `w(v) / Σ_remaining w`, whether `v` is a live entry or a zero-class
@@ -25,10 +27,7 @@
 //! peeling likelihood below walks exactly that recursion in log space.
 
 use psr_graph::NodeId;
-use psr_privacy::{
-    resolve_recommendation, resolve_zero_class_distinct, topk, Laplace, LaplaceMechanism,
-    LinearSmoothing, Mechanism,
-};
+use psr_privacy::{resolve_slots, topk, Laplace, LaplaceMechanism, LinearSmoothing, Mechanism};
 use psr_utility::{CandidateSet, UtilityVector};
 
 /// Which mechanism (and calibration) produced an observation.
@@ -220,36 +219,23 @@ impl ObservationModel {
     /// real serving path uses — the shadow-model sampler behind the
     /// membership-inference attack.
     pub fn sample(&self, k: usize, rng: &mut dyn rand::RngCore) -> Vec<NodeId> {
-        match self.mechanism {
+        let slots = match self.mechanism {
             MechanismModel::Exponential { epsilon, sensitivity } => {
                 let k = k.min(self.utilities.len());
-                let top = topk::topk_exponential(&self.utilities, k, epsilon, sensitivity, rng);
-                let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
-                let mut zero_picks =
-                    resolve_zero_class_distinct(zero_slots, &self.utilities, &self.candidates, rng)
-                        .into_iter();
-                top.picks
-                    .iter()
-                    .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class member")))
-                    .collect()
+                topk::topk_exponential(&self.utilities, k, epsilon, sensitivity, rng).picks
             }
             MechanismModel::Laplace { epsilon, sensitivity } => {
                 assert_eq!(k, 1, "Laplace observations are single draws");
                 let mech = LaplaceMechanism::default();
-                let rec = mech.recommend(&self.utilities, epsilon, sensitivity, rng);
-                resolve_recommendation(rec, &self.utilities, &self.candidates, rng)
-                    .into_iter()
-                    .collect()
+                vec![mech.recommend(&self.utilities, epsilon, sensitivity, rng).slot()]
             }
             MechanismModel::Smoothing { x } => {
                 assert_eq!(k, 1, "smoothing observations are single draws");
                 let mech = LinearSmoothing::new(x);
-                let rec = mech.recommend(&self.utilities, 0.0, 1.0, rng);
-                resolve_recommendation(rec, &self.utilities, &self.candidates, rng)
-                    .into_iter()
-                    .collect()
+                vec![mech.recommend(&self.utilities, 0.0, 1.0, rng).slot()]
             }
-        }
+        };
+        resolve_slots(&slots, &self.utilities, &self.candidates, rng)
     }
 
     /// Monte-Carlo estimate of `Pr[probe ∈ output]` with add-one
@@ -393,17 +379,31 @@ mod tests {
 
     #[test]
     fn exponential_sampling_frequencies_match_log_prob() {
-        let m = model(MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 });
-        let mut r = rng(1);
-        let trials = 40_000;
-        let mut counts: std::collections::HashMap<Vec<NodeId>, u32> = Default::default();
-        for _ in 0..trials {
-            *counts.entry(m.sample(2, &mut r)).or_insert(0) += 1;
-        }
-        for (seq, count) in counts {
-            let p = m.log_prob(&seq).exp();
-            let freq = count as f64 / trials as f64;
-            assert!((freq - p).abs() < 0.01, "{seq:?}: freq {freq} vs p {p}");
+        // The second model adds a second zero-class member (node 6), so
+        // two slots can land in the class and their order must be
+        // uniform: the likelihood gives [5, 6] and [6, 5] equal mass.
+        let mechanism = MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 };
+        let g = GraphBuilder::new(Direction::Undirected)
+            .add_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)])
+            .with_num_nodes(7)
+            .build()
+            .unwrap();
+        let candidates = CandidateSet::for_target(&g, 0);
+        let utilities = psr_utility::CommonNeighbors.utilities(&g, 0, &candidates);
+        assert_eq!(utilities.num_zero(), 2);
+        let two_zero = ObservationModel { candidates, utilities, mechanism };
+        for (m, nodes) in [(model(mechanism), vec![3, 4, 5]), (two_zero, vec![3, 4, 5, 6])] {
+            let mut r = rng(1);
+            let trials = 40_000;
+            let mut counts: std::collections::HashMap<Vec<NodeId>, u32> = Default::default();
+            for _ in 0..trials {
+                *counts.entry(m.sample(2, &mut r)).or_insert(0) += 1;
+            }
+            for seq in sequences(&nodes, 2) {
+                let p = m.log_prob(&seq).exp();
+                let freq = counts.get(&seq).copied().unwrap_or(0) as f64 / trials as f64;
+                assert!((freq - p).abs() < 0.01, "{seq:?}: freq {freq} vs p {p}");
+            }
         }
     }
 

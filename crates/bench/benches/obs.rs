@@ -13,7 +13,7 @@
 #![allow(missing_docs)] // the bench entry point is an undocumented `fn main`
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use psr_bench::{snapshot::record_gauge, wiki_graph, BENCH_SEED};
@@ -41,8 +41,8 @@ fn workload(graph: &psr_graph::Graph) -> Vec<BatchRequest> {
 }
 
 /// Instrumented vs uninstrumented serving of the identical batch.
-/// Headline: best-of-5 instrumented wall time within 5% of plain —
-/// the committed snapshot gate re-checks the same bound on medians.
+/// Headline: the median instrumented/plain ratio over alternating timed
+/// pairs stays within 5% — the snapshot gate re-checks the bound on medians.
 fn obs_overhead(c: &mut Criterion) {
     let graph = Arc::new(wiki_graph());
     let requests = workload(&graph);
@@ -62,31 +62,35 @@ fn obs_overhead(c: &mut Criterion) {
         "telemetry must not perturb outcomes"
     );
 
-    let time_arm = |service: &RecommendationService| {
-        let mut best = Duration::MAX;
-        for _ in 0..5 {
-            let start = Instant::now();
-            for round in 0..4u64 {
-                black_box(service.serve_batch(&requests, BENCH_SEED + round));
-            }
-            best = best.min(start.elapsed());
+    let time_run = |service: &RecommendationService| {
+        let start = Instant::now();
+        for round in 0..4u64 {
+            black_box(service.serve_batch(&requests, BENCH_SEED + round));
         }
-        best
+        start.elapsed().as_secs_f64()
     };
-    let plain_time = time_arm(&plain);
-    let instrumented_time = time_arm(&instrumented);
-    let ratio = instrumented_time.as_secs_f64() / plain_time.as_secs_f64();
+    // Each arm leads every other pair, so drift in machine load and cache
+    // warmth hits both alike; the gate reads the median per-pair ratio.
+    const PAIRS: usize = 15;
+    let mut ratios = Vec::with_capacity(PAIRS);
+    for pair in 0..PAIRS {
+        let (a, b) = if pair % 2 == 0 { (&plain, &instrumented) } else { (&instrumented, &plain) };
+        let (first, second) = (time_run(a), time_run(b));
+        ratios.push(if pair % 2 == 0 { second / first } else { first / second });
+    }
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[PAIRS / 2];
     println!(
-        "[obs] {} requests x4: uninstrumented {:.2} ms vs instrumented {:.2} ms ({:.3}x)",
+        "[obs] {} requests x4, {PAIRS} alternating pairs: instrumented / uninstrumented \
+         median {ratio:.3}x (quartiles {:.3}-{:.3})",
         requests.len(),
-        plain_time.as_secs_f64() * 1e3,
-        instrumented_time.as_secs_f64() * 1e3,
-        ratio,
+        ratios[PAIRS / 4],
+        ratios[3 * PAIRS / 4],
     );
     assert!(
         ratio <= 1.05,
-        "instrumented serving ({instrumented_time:?}) must stay within 5% of uninstrumented \
-         ({plain_time:?}), got {ratio:.3}x"
+        "instrumented serving must stay within 5% of uninstrumented, got a median {ratio:.3}x \
+         over {PAIRS} alternating pairs"
     );
 
     let mut group = c.benchmark_group("obs_overhead");

@@ -16,7 +16,7 @@
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{Graph, NodeId};
 use psr_privacy::{ExponentialMechanism, LaplaceMechanism, Mechanism};
-use psr_utility::{CandidateSet, SensitivityNorm, UtilityFunction};
+use psr_utility::{calibrated_sensitivity, CandidateSet, SensitivityNorm, UtilityFunction};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
@@ -157,10 +157,7 @@ pub fn run_experiment(
         config.target_fraction > 0.0 && config.target_fraction <= 1.0,
         "target_fraction must be in (0, 1]"
     );
-    let sensitivity = utility
-        .sensitivity(graph)
-        .map(|s| s.value(config.sensitivity_norm))
-        .expect("utility must report sensitivity for experiments");
+    let sensitivity = calibrated_sensitivity(utility, graph, config.sensitivity_norm, None);
 
     // Uniform target sample (§7.1), deterministic in the seed.
     let mut nodes: Vec<NodeId> = graph.nodes().collect();

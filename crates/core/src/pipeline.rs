@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use psr_graph::{Graph, NodeId};
-use psr_privacy::{Mechanism, Recommendation};
-use psr_utility::{CandidateSet, SensitivityNorm, UtilityFunction};
+use psr_privacy::{resolve_slots, Mechanism};
+use psr_utility::{calibrated_sensitivity, CandidateSet, SensitivityNorm, UtilityFunction};
 
 /// Configuration of a [`Recommender`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,12 +69,12 @@ impl Recommender {
 
     /// The calibrated sensitivity `Δf`.
     pub fn sensitivity(&self) -> f64 {
-        self.config
-            .sensitivity_override
-            .or_else(|| {
-                self.utility.sensitivity(&self.graph).map(|s| s.value(self.config.sensitivity_norm))
-            })
-            .expect("utility reports no sensitivity and no override was given")
+        calibrated_sensitivity(
+            self.utility.as_ref(),
+            self.graph.as_ref(),
+            self.config.sensitivity_norm,
+            self.config.sensitivity_override,
+        )
     }
 
     /// The underlying graph.
@@ -101,12 +101,7 @@ impl Recommender {
         }
         let u = self.utility.utilities(&self.graph, target, &candidates);
         let rec = self.mechanism.recommend(&u, self.config.epsilon, self.sensitivity(), rng);
-        match rec {
-            Recommendation::Node(v) => Some(v),
-            Recommendation::ZeroUtilityClass => {
-                psr_privacy::resolve_recommendation(rec, &u, &candidates, rng)
-            }
-        }
+        resolve_slots(&[rec.slot()], &u, &candidates, rng).first().copied()
     }
 
     /// The expected accuracy this recommender achieves for `target`

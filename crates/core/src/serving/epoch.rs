@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{DeltaGraph, Direction, GraphView, NodeId};
 use psr_obs::{fields, Telemetry};
-use psr_privacy::{resolve_zero_class_distinct, topk};
-use psr_utility::{CandidateSet, UtilityFunction, UtilityVector};
+use psr_privacy::{resolve_slots, topk};
+use psr_utility::{calibrated_sensitivity, CandidateSet, UtilityFunction, UtilityVector};
 
 use super::{BatchRequest, Epoch, ServeError, Served, ServiceConfig};
 
@@ -78,14 +78,17 @@ pub(crate) struct EpochState {
 }
 
 impl EpochState {
+    /// Freezes `graph` with the Δf calibrated for it.
     pub(crate) fn new(
         version: u64,
         graph: DeltaGraph,
-        sensitivity: f64,
         utility: Arc<dyn UtilityFunction>,
         config: ServiceConfig,
         cache: HashMap<NodeId, Arc<TargetState>>,
     ) -> Self {
+        let norm = config.sensitivity_norm;
+        let sensitivity =
+            calibrated_sensitivity(utility.as_ref(), &graph, norm, config.sensitivity_override);
         EpochState { version, graph, sensitivity, utility, config, cache: Mutex::new(cache) }
     }
 
@@ -133,21 +136,11 @@ impl EpochState {
             &mut rng,
         );
 
-        // Resolve anonymous zero-class slots to distinct concrete nodes.
-        let zero_slots = top.picks.iter().filter(|p| p.is_none()).count();
-        let mut zero_picks =
-            resolve_zero_class_distinct(zero_slots, u, &state.candidates, &mut rng).into_iter();
-        let recommendations: Vec<NodeId> = top
-            .picks
-            .iter()
-            .map(|pick| pick.unwrap_or_else(|| zero_picks.next().expect("class large enough")))
-            .collect();
-
         Ok(Served {
             target: request.target,
             requested_k: request.k,
-            recommendations,
-            zero_class_picks: zero_slots,
+            recommendations: resolve_slots(&top.picks, u, &state.candidates, &mut rng),
+            zero_class_picks: top.picks.iter().filter(|p| p.is_none()).count(),
             total_utility: top.total_utility,
             epsilon_spent: self.config.epsilon_per_request,
         })

@@ -408,11 +408,9 @@ impl RecommendationService {
         );
         let graph = DeltaGraph::with_backend(backend);
         let utility: Arc<dyn UtilityFunction> = Arc::from(utility);
-        let sensitivity = calibrate(&config, utility.as_ref(), &graph);
         let state = EpochState::new(
             0,
             graph,
-            sensitivity,
             Arc::clone(&utility),
             config,
             std::collections::HashMap::new(),
@@ -601,22 +599,15 @@ impl RecommendationService {
         let all_dirty = dirty_targets.len() == num_nodes;
         let (cache, invalidated) = old.cache_without(&dirty_targets, all_dirty);
 
-        // Re-calibrate Δf (it may depend on the maximum degree, which the
-        // batch can change) and fold the overlay when it got heavy.
-        let sensitivity = calibrate(&self.config, self.utility.as_ref(), &staged);
+        // Fold the overlay when it got heavy. The next epoch re-calibrates
+        // Δf, which may depend on the maximum degree the batch changed.
         let compacted = staged.num_dirty() as f64 > COMPACT_DIRTY_FRACTION * num_nodes as f64;
         if compacted {
             staged = DeltaGraph::new(staged.compact());
         }
 
-        let next = EpochState::new(
-            old.version + 1,
-            staged,
-            sensitivity,
-            Arc::clone(&self.utility),
-            self.config,
-            cache,
-        );
+        let next =
+            EpochState::new(old.version + 1, staged, Arc::clone(&self.utility), self.config, cache);
         *self.current.write().expect("epoch swap point") = Arc::new(next);
 
         let epoch = Epoch {
@@ -644,7 +635,6 @@ impl RecommendationService {
         let next = EpochState::new(
             old.version,
             DeltaGraph::new(old.graph.compact()),
-            old.sensitivity,
             Arc::clone(&self.utility),
             self.config,
             old.cache_clone(),
@@ -768,14 +758,6 @@ fn admit(
             Some(ServeError::BudgetExhausted { target, requested, remaining })
         }
     }
-}
-
-/// Δf for the current graph under the configured norm/override.
-fn calibrate(config: &ServiceConfig, utility: &dyn UtilityFunction, view: &DeltaGraph) -> f64 {
-    config
-        .sensitivity_override
-        .or_else(|| utility.sensitivity(view).map(|s| s.value(config.sensitivity_norm)))
-        .expect("utility reports no sensitivity and no override was given")
 }
 
 /// Marks every node within `radius` hops of any seed (seeds included) in

@@ -34,8 +34,6 @@ pub mod topk;
 pub use exponential::{ExponentialMechanism, ExponentialScaling};
 pub use laplace_dist::Laplace;
 pub use laplace_mech::LaplaceMechanism;
-pub use mechanism::{
-    resolve_recommendation, resolve_zero_class_distinct, Mechanism, Recommendation,
-};
+pub use mechanism::{resolve_slots, resolve_zero_class_distinct, Mechanism, Recommendation};
 pub use smoothing::LinearSmoothing;
 pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};

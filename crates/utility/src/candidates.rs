@@ -2,6 +2,8 @@
 
 use psr_graph::{GraphView, NodeId};
 
+use crate::vector::UtilityVector;
+
 /// The candidate policy of §7.1: every node except the target itself and
 /// the nodes the target is already connected to (by out-edges, for
 /// directed graphs).
@@ -55,6 +57,30 @@ impl CandidateSet {
     /// candidates, preserving order. Shared by all utility functions.
     pub fn filter_sparse(&self, entries: &[(NodeId, f64)]) -> Vec<(NodeId, f64)> {
         entries.iter().copied().filter(|&(v, _)| self.contains(v)).collect()
+    }
+
+    /// The `rank`-th (0-based, ascending id) zero-utility member of `u`, a
+    /// vector over this candidate set, or `None` past the class: a binary
+    /// search over the complement of the excluded ids and `u`'s non-zero
+    /// keys, O(log(e + d) · (log e + log d)), never walking node ids.
+    pub fn zero_class_member(&self, u: &UtilityVector, rank: usize) -> Option<NodeId> {
+        let nonzero = u.nonzero();
+        // Ids ≤ x outside the class. The member is `rank + outside(member)`,
+        // the least x in `rank..=rank + e + d` with `x + 1 − outside(x) > rank`.
+        let outside = |x: usize| {
+            self.excluded.partition_point(|&v| v as usize <= x)
+                + nonzero.partition_point(|&(v, _)| v as usize <= x)
+        };
+        let (mut lo, mut hi) = (rank, rank + self.excluded.len() + nonzero.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if mid + 1 > rank + outside(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (lo < self.num_nodes).then_some(lo as NodeId)
     }
 }
 
@@ -117,5 +143,25 @@ mod tests {
             .unwrap();
         let c = CandidateSet::for_target(&g, 3);
         assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn zero_class_member_matches_the_ascending_scan() {
+        use crate::UtilityFunction;
+        let g = GraphBuilder::new(psr_graph::Direction::Undirected)
+            .add_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (5, 6), (0, 9), (9, 7)])
+            .with_num_nodes(12)
+            .build()
+            .unwrap();
+        for target in 0..12 {
+            let c = CandidateSet::for_target(&g, target);
+            let u = crate::CommonNeighbors.utilities(&g, target, &c);
+            let class: Vec<NodeId> = c.iter().filter(|&v| u.get(v) == 0.0).collect();
+            assert_eq!(class.len(), u.num_zero(), "target {target}");
+            for (rank, &member) in class.iter().enumerate() {
+                assert_eq!(c.zero_class_member(&u, rank), Some(member), "target {target}");
+            }
+            assert_eq!(c.zero_class_member(&u, class.len()), None, "target {target}");
+        }
     }
 }

@@ -31,7 +31,10 @@ mod weighted_paths;
 pub use candidates::CandidateSet;
 pub use common_neighbors::CommonNeighbors;
 pub use pagerank::PersonalizedPageRank;
-pub use sensitivity::{empirical_sensitivity, EmpiricalSensitivity, Sensitivity, SensitivityNorm};
+pub use sensitivity::{
+    calibrated_sensitivity, empirical_sensitivity, EmpiricalSensitivity, Sensitivity,
+    SensitivityNorm,
+};
 pub use traits::UtilityFunction;
 pub use vector::UtilityVector;
 pub use weighted_paths::WeightedPaths;

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use psr_graph::{Graph, MutableGraph, NodeId};
+use psr_graph::{Graph, GraphView, MutableGraph, NodeId};
 
 use crate::candidates::CandidateSet;
 use crate::traits::UtilityFunction;
@@ -40,6 +40,22 @@ impl Sensitivity {
             SensitivityNorm::LInf => self.linf,
         }
     }
+}
+
+/// The `Δf` every service, experiment and attack model calibrates with:
+/// the override when given, else `utility`'s analytic bound under `norm`.
+///
+/// # Panics
+/// Panics if the utility reports no sensitivity and no override was given.
+pub fn calibrated_sensitivity(
+    utility: &dyn UtilityFunction,
+    graph: &dyn GraphView,
+    norm: SensitivityNorm,
+    sensitivity_override: Option<f64>,
+) -> f64 {
+    sensitivity_override
+        .or_else(|| utility.sensitivity(graph).map(|s| s.value(norm)))
+        .expect("utility reports no sensitivity and no override was given")
 }
 
 /// Observed sensitivity from an explicit set of edge flips.
