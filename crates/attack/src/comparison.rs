@@ -15,8 +15,9 @@
 //!   ([`lemma1_epsilon_floor_from_accuracy`]) — the accuracy side of the
 //!   same trade-off, the curve plotted as "Theor. Bound" in Figures 1–2.
 //! * **Theorem 5.** The smoothing mechanism's configured ε is
-//!   `ln(1 + nx/(1−x))` from `psr_bounds::theorem5`, so its empirical ε
-//!   is compared against the calibration the theory assigns it.
+//!   `ln(1 + nx/(1−x))` from `psr_privacy::LinearSmoothing::epsilon`, the
+//!   function the service's ledger charges with, so its empirical ε is
+//!   compared against the calibration the theory assigns it.
 //! * **Appendix A / node adjacency.** For node-neighbouring graphs the
 //!   exchange argument needs only `t = 2` steps, so accuracy forces
 //!   `ε ≥ node_privacy_eps_lower(n, β)` (asymptotically `ln(n)/2`).

@@ -23,20 +23,18 @@
 //! through incremental re-serving?" rather than only "do two static
 //! graphs distinguish?".
 //!
-//! The Exponential mechanism and the non-private top-`k` baseline (a huge
-//! ε through the identical code path) are served by the real
-//! [`RecommendationService`] batches. The single-draw Laplace and
-//! smoothing mechanisms sample through the same `psr-privacy` primitives
-//! the single-query `psr_core::Recommender` uses
-//! ([`crate::model::ObservationModel::sample`]); the service's top-`k`
-//! peeling engine is exponential-only by design.
+//! Every mechanism is served by real [`RecommendationService`] batches:
+//! the Exponential mechanism and the non-private top-`k` baseline (a huge
+//! ε through the identical code path), and the single-draw Laplace and
+//! smoothing mechanisms through [`ServiceConfig::mechanism`]. Every
+//! transcript therefore comes from the path a deployment serves.
 
 use std::sync::Arc;
 
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
-use psr_gen::seed::{rng_from_seed, split_seed};
+use psr_gen::seed::split_seed;
 use psr_graph::{DeltaGraph, EdgeMutation, Graph, GraphView, NodeId};
-use psr_privacy::TopKEngine;
+use psr_privacy::{LinearSmoothing, ServeMechanism, TopKEngine};
 use psr_utility::{
     calibrated_sensitivity, CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction,
     UtilityVector,
@@ -90,20 +88,15 @@ impl AttackMechanism {
         }
     }
 
-    /// Whether transcripts are generated by [`RecommendationService`]
-    /// batches (as opposed to single-draw mechanism sampling).
-    pub fn serves_through_service(&self) -> bool {
-        matches!(self, AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK)
-    }
-
-    /// The ε handed to the serving path.
-    fn effective_epsilon(&self) -> f64 {
+    /// The service mechanism and per-request ε that serve this attack
+    /// mechanism. Smoothing's ε follows from `x` and each observer's
+    /// candidate count (Theorem 5), so the service ignores the 1.0 here.
+    fn served(&self) -> (ServeMechanism, f64) {
         match *self {
-            AttackMechanism::Exponential { epsilon } | AttackMechanism::Laplace { epsilon } => {
-                epsilon
-            }
-            AttackMechanism::NonPrivateTopK => NON_PRIVATE_EPSILON,
-            AttackMechanism::Smoothing { .. } => unreachable!("smoothing is not ε-parameterised"),
+            AttackMechanism::Exponential { epsilon } => (ServeMechanism::Exponential, epsilon),
+            AttackMechanism::NonPrivateTopK => (ServeMechanism::Exponential, NON_PRIVATE_EPSILON),
+            AttackMechanism::Laplace { epsilon } => (ServeMechanism::Laplace, epsilon),
+            AttackMechanism::Smoothing { x } => (ServeMechanism::Smoothing { x }, 1.0),
         }
     }
 }
@@ -299,7 +292,7 @@ impl TwoWorldEngine {
         assert!(params.trials_per_world >= 1, "need at least one trial per world");
         assert!(params.k >= 1, "k must be at least 1");
         assert!(params.confidence > 0.0 && params.confidence < 1.0, "confidence must be in (0,1)");
-        if !params.mechanism.serves_through_service() {
+        if params.mechanism.served().0 != ServeMechanism::Exponential {
             assert_eq!(params.k, 1, "single-draw mechanisms serve exactly one slot");
         }
         if let AttackMechanism::Smoothing { x } = params.mechanism {
@@ -374,12 +367,7 @@ impl TwoWorldEngine {
                 let wm = &self.models[1];
                 Some(
                     (0..wm.num_entries())
-                        .map(|i| {
-                            psr_bounds::theorem5::smoothing_epsilon(
-                                x,
-                                wm.model_for(i).utilities.len(),
-                            )
-                        })
+                        .map(|i| LinearSmoothing::new(x).epsilon(wm.model_for(i).utilities.len()))
                         .sum(),
                 )
             }
@@ -464,7 +452,7 @@ impl TwoWorldEngine {
         let mechanism = match self.params.mechanism {
             AttackMechanism::Exponential { .. } | AttackMechanism::NonPrivateTopK => {
                 MechanismModel::Exponential {
-                    epsilon: self.params.mechanism.effective_epsilon(),
+                    epsilon: self.params.mechanism.served().1,
                     sensitivity: sensitivity(),
                 }
             }
@@ -499,20 +487,12 @@ impl TwoWorldEngine {
                 scope.spawn(move || {
                     for (offset, slot) in chunk.iter_mut().enumerate() {
                         let trial = chunk_index * chunk_size + offset;
-                        *slot = Some(self.run_trial(world, trial));
+                        *slot = Some(self.service_trial(world, trial));
                     }
                 });
             }
         });
         out.into_iter().map(|t| t.expect("every trial ran")).collect()
-    }
-
-    fn run_trial(&self, world: usize, trial: usize) -> Transcript {
-        if self.params.mechanism.serves_through_service() {
-            self.service_trial(world, trial)
-        } else {
-            self.mechanism_trial(world, trial)
-        }
     }
 
     /// One trial through a fresh [`RecommendationService`] (worker pool
@@ -522,16 +502,18 @@ impl TwoWorldEngine {
             Divergence::FromStart => Arc::clone(&self.worlds[world]),
             Divergence::MidStream { .. } => Arc::clone(&self.base),
         };
+        let (mechanism, epsilon_per_request) = self.params.mechanism.served();
         let service = RecommendationService::new(
             start,
             Box::new(SharedUtility(Arc::clone(&self.utility))),
             ServiceConfig {
-                epsilon_per_request: self.params.mechanism.effective_epsilon(),
+                epsilon_per_request,
                 budget_per_target: f64::INFINITY,
                 sensitivity_norm: self.params.sensitivity_norm,
                 sensitivity_override: self.params.sensitivity_override,
                 threads: Some(1),
                 engine: self.params.engine,
+                mechanism,
             },
         );
         let requests: Vec<BatchRequest> = self
@@ -567,27 +549,6 @@ impl TwoWorldEngine {
             }
             _ => None,
         }
-    }
-
-    /// One trial of a single-draw mechanism, sampled from the exact
-    /// per-entry models through the same `psr-privacy` primitives the
-    /// single-query `Recommender` path uses.
-    fn mechanism_trial(&self, world: usize, trial: usize) -> Transcript {
-        let mut rng = rng_from_seed(self.trial_seed(trial));
-        let wm = &self.models[world];
-        let num_observers = self.params.observers.len();
-        let mut entries = Vec::with_capacity(self.params.rounds * num_observers);
-        for round in 0..self.params.rounds {
-            for (i, &observer) in self.params.observers.iter().enumerate() {
-                let model = wm.model_for(round * num_observers + i);
-                entries.push(Observation {
-                    observer,
-                    k: self.params.k,
-                    recommendations: model.sample(self.params.k, &mut rng),
-                });
-            }
-        }
-        Transcript { entries }
     }
 
     /// Mean per-entry accuracy over world-1 transcripts, skipping
@@ -1026,13 +987,46 @@ mod tests {
     }
 
     #[test]
-    fn laplace_and_smoothing_trials_run_without_a_service() {
+    fn laplace_and_smoothing_trials_run_through_the_service() {
         for mech in
             [AttackMechanism::Laplace { epsilon: 0.5 }, AttackMechanism::Smoothing { x: 0.05 }]
         {
-            let s = scenario(karate_config(mech));
-            let set = s.collect();
-            let result = s.attack(&set, &FrequencyBaseline { probe: s.probe() });
+            let one = scenario(ScenarioConfig { threads: Some(1), ..karate_config(mech) });
+            let eight = scenario(ScenarioConfig { threads: Some(8), ..karate_config(mech) });
+            let set = one.collect();
+            assert_eq!(set, eight.collect(), "{mech:?}: thread count must not move transcripts");
+
+            // Trial 0 of world 1 is exactly what a service over the world-1
+            // graph serves on the trial's per-round seeds.
+            let (mechanism, epsilon_per_request) = mech.served();
+            let service = RecommendationService::new(
+                Arc::clone(&one.engine.worlds[1]),
+                Box::new(CommonNeighbors),
+                ServiceConfig {
+                    epsilon_per_request,
+                    budget_per_target: f64::INFINITY,
+                    mechanism,
+                    ..Default::default()
+                },
+            );
+            let requests: Vec<BatchRequest> = one
+                .config()
+                .observers
+                .iter()
+                .map(|&target| BatchRequest { target, k: 1 })
+                .collect();
+            let served: Vec<Vec<NodeId>> = (0..one.config().rounds)
+                .flat_map(|round| {
+                    service
+                        .serve_batch(&requests, split_seed(one.engine.trial_seed(0), round as u64))
+                })
+                .map(|outcome| outcome.unwrap().recommendations)
+                .collect();
+            let transcript: Vec<Vec<NodeId>> =
+                set.world1[0].entries.iter().map(|obs| obs.recommendations.clone()).collect();
+            assert_eq!(transcript, served, "{mech:?}");
+
+            let result = one.attack(&set, &FrequencyBaseline { probe: one.probe() });
             assert_eq!(result.scores_world0.len(), 16);
             assert!(result.advantage.advantage <= 1.0);
         }

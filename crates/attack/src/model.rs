@@ -27,16 +27,19 @@
 //! peeling likelihood below walks exactly that recursion in log space.
 
 use psr_graph::NodeId;
-use psr_privacy::{resolve_slots, topk, Laplace, LaplaceMechanism, LinearSmoothing, Mechanism};
+use psr_privacy::{resolve_slots, topk, Laplace, ServeMechanism, TopKEngine};
 use psr_utility::{CandidateSet, UtilityVector};
 
-/// Which mechanism (and calibration) produced an observation.
+/// Which mechanism (and calibration) produced an observation. All three
+/// are served by `RecommendationService` through
+/// [`psr_privacy::ServeMechanism`], which [`ObservationModel::sample`]
+/// calls too.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MechanismModel {
     /// Top-`k` Exponential-mechanism peeling (`psr_privacy::topk`) at
-    /// request budget `epsilon` split over the served slots — the
-    /// `RecommendationService` path. A huge `epsilon` models the
-    /// non-private top-`k` baseline through the same code path.
+    /// request budget `epsilon` split over the served slots. A huge
+    /// `epsilon` models the non-private top-`k` baseline through the same
+    /// code path.
     Exponential {
         /// Request-level privacy budget ε (split ε/k across slots).
         epsilon: f64,
@@ -215,27 +218,24 @@ impl ObservationModel {
         p.ln()
     }
 
-    /// Simulates one output of this model through the same primitives the
-    /// real serving path uses — the shadow-model sampler behind the
-    /// membership-inference attack.
+    /// Simulates one output of this model through the sampler the
+    /// serving path calls ([`ServeMechanism::sample`], on the peel engine,
+    /// then the shared zero-class resolver) — the shadow-model sampler
+    /// behind the membership-inference attack. Laplace and smoothing
+    /// serve one slot whatever `k` is.
     pub fn sample(&self, k: usize, rng: &mut dyn rand::RngCore) -> Vec<NodeId> {
-        let slots = match self.mechanism {
+        let (mechanism, epsilon, sensitivity) = match self.mechanism {
             MechanismModel::Exponential { epsilon, sensitivity } => {
-                let k = k.min(self.utilities.len());
-                topk::topk_exponential(&self.utilities, k, epsilon, sensitivity, rng).picks
+                (ServeMechanism::Exponential, epsilon, sensitivity)
             }
             MechanismModel::Laplace { epsilon, sensitivity } => {
-                assert_eq!(k, 1, "Laplace observations are single draws");
-                let mech = LaplaceMechanism::default();
-                vec![mech.recommend(&self.utilities, epsilon, sensitivity, rng).slot()]
+                (ServeMechanism::Laplace, epsilon, sensitivity)
             }
-            MechanismModel::Smoothing { x } => {
-                assert_eq!(k, 1, "smoothing observations are single draws");
-                let mech = LinearSmoothing::new(x);
-                vec![mech.recommend(&self.utilities, 0.0, 1.0, rng).slot()]
-            }
+            // Smoothing reads neither ε nor Δf.
+            MechanismModel::Smoothing { x } => (ServeMechanism::Smoothing { x }, 0.0, 1.0),
         };
-        resolve_slots(&slots, &self.utilities, &self.candidates, rng)
+        let top = mechanism.sample(TopKEngine::Peel, &self.utilities, k, epsilon, sensitivity, rng);
+        resolve_slots(&top.picks, &self.utilities, &self.candidates, rng)
     }
 
     /// Monte-Carlo estimate of `Pr[probe ∈ output]` with add-one
@@ -489,6 +489,37 @@ mod tests {
         assert!((m.log_prob(&[5]).exp() - 0.6 / n).abs() < 1e-12);
         let total: f64 = [3, 4, 5].iter().map(|&v| m.log_prob(&[v]).exp()).sum();
         assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sample_replays_the_direct_mechanism_draws() {
+        use psr_privacy::{LaplaceMechanism, LinearSmoothing, Mechanism};
+        let direct = |m: &ObservationModel, k: usize, rng: &mut rand::rngs::StdRng| {
+            let u = &m.utilities;
+            let slots = match m.mechanism {
+                MechanismModel::Exponential { epsilon, sensitivity } => {
+                    topk::topk_exponential(u, k.min(u.len()), epsilon, sensitivity, rng).picks
+                }
+                MechanismModel::Laplace { epsilon, sensitivity } => {
+                    vec![LaplaceMechanism::default().recommend(u, epsilon, sensitivity, rng).slot()]
+                }
+                MechanismModel::Smoothing { x } => {
+                    vec![LinearSmoothing::new(x).recommend(u, 0.0, 1.0, rng).slot()]
+                }
+            };
+            resolve_slots(&slots, u, &m.candidates, rng)
+        };
+        for (mechanism, k) in [
+            (MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 }, 2),
+            (MechanismModel::Laplace { epsilon: 0.8, sensitivity: 1.0 }, 1),
+            (MechanismModel::Smoothing { x: 0.4 }, 1),
+        ] {
+            let m = model(mechanism);
+            let (mut a, mut b) = (rng(5), rng(5));
+            for _ in 0..200 {
+                assert_eq!(m.sample(k, &mut a), direct(&m, k, &mut b), "{mechanism:?}");
+            }
+        }
     }
 
     #[test]

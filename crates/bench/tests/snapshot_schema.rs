@@ -94,9 +94,7 @@ fn serving_snapshot_covers_every_case() {
     let snapshot = load("serving");
     for id in [
         "serving_k1/batch_pool",
-        "serving_k1/sequential_recommender",
         "serving_k5/batch_pool",
-        "serving_k5/sequential_recommender",
         "serving_topk_peel/k1",
         "serving_topk_peel/k8",
         "serving_topk_peel/k32",

@@ -11,11 +11,10 @@
 //! both against the bounds on real graphs. This crate ties the workspace
 //! together:
 //!
-//! * [`Recommender`] — serve a single ε-private recommendation for a
-//!   target node (the paper's deliverable, as an API),
-//! * [`serving`] — the batch deployment of that API: a
-//!   [`RecommendationService`] fans `(target, k)` request batches across
-//!   a worker pool, enforces per-target ε budgets, and serves a *mutable*
+//! * [`serving`] — the paper's deliverable as an API: a
+//!   [`RecommendationService`] answers `(target, k)` request batches with
+//!   any of the three mechanisms ([`ServiceConfig::mechanism`]) on a
+//!   worker pool, enforces per-target ε budgets, and serves a *mutable*
 //!   graph through versioned epochs
 //!   ([`serving::RecommendationService::apply_mutations`]): edge
 //!   mutations land in a `psr_graph::DeltaGraph` overlay, and only dirty
@@ -29,20 +28,20 @@
 //!
 //! ## Sharing one graph across consumers
 //!
-//! Both [`Recommender`] and [`serving::RecommendationService`] keep their
-//! graph behind an [`std::sync::Arc`], and their constructors accept
-//! either an owned [`psr_graph::Graph`] or an existing `Arc<Graph>`. A
-//! deployment therefore loads the graph once and hands the same handle to
-//! every service, recommender and experiment
-//! (`service.shared_graph()` / `recommender.shared_graph()`), instead of
-//! cloning a multi-million-edge structure per consumer.
+//! [`serving::RecommendationService`] keeps its graph behind an
+//! [`std::sync::Arc`], and its constructors accept either an owned
+//! [`psr_graph::Graph`] or an existing `Arc<Graph>`. A deployment
+//! therefore loads the graph once and hands the same handle to every
+//! service and experiment (`service.shared_graph()`), instead of cloning a
+//! multi-million-edge structure per consumer.
 //!
 //! ## Privacy-budget semantics
 //!
 //! Every request served by a [`serving::RecommendationService`] costs its
 //! configured ε (the request's `k` slots are peeled at ε/k each, so basic
-//! composition charges ε per request), and repeated requests about one
-//! target compose additively. The service's
+//! composition charges ε per request; linear smoothing costs Theorem 5's
+//! `ln(1 + nx/(1−x))` at the target's `n` candidates), and repeated
+//! requests about one target compose additively. The service's
 //! [`serving::BudgetAccountant`] admits requests sequentially in batch
 //! order, *charges at admission time* (a request that later finds no
 //! candidates has still queried the graph — refunds would be unsound),
@@ -56,30 +55,29 @@
 //! ## Quickstart
 //!
 //! ```
-//! use psr_core::{Recommender, RecommenderConfig};
+//! use psr_core::{RecommendationService, ServiceConfig};
 //! use psr_datasets::toy::karate_club;
+//! use psr_privacy::ServeMechanism;
 //! use psr_utility::CommonNeighbors;
-//! use psr_privacy::ExponentialMechanism;
-//! use rand::rngs::StdRng;
-//! use rand::SeedableRng;
 //!
-//! let graph = karate_club();
-//! let rec = Recommender::new(
-//!     graph,
+//! let service = RecommendationService::new(
+//!     karate_club(),
 //!     Box::new(CommonNeighbors),
-//!     Box::new(ExponentialMechanism::paper()),
-//!     RecommenderConfig { epsilon: 1.0, ..Default::default() },
+//!     ServiceConfig {
+//!         epsilon_per_request: 1.0,
+//!         mechanism: ServeMechanism::Laplace,
+//!         ..Default::default()
+//!     },
 //! );
-//! // Seeded for reproducibility; `rand::thread_rng()` works the same way.
-//! let mut rng = StdRng::seed_from_u64(42);
-//! let suggestion = rec.recommend(0, &mut rng).unwrap();
-//! assert!(suggestion != 0);
+//! // Seeded for reproducibility: one slot for target 0 at ε = 1.
+//! let served = service.serve_one(0, 1, 42).unwrap();
+//! assert!(served.recommendations[0] != 0);
+//! assert_eq!(service.remaining_budget(0), 9.0);
 //! ```
 
 pub mod cdf;
 pub mod experiment;
 pub mod figures;
-mod pipeline;
 pub mod report;
 pub mod serving;
 
@@ -87,7 +85,6 @@ pub use cdf::AccuracyCdf;
 pub use experiment::{
     evaluate_target, run_experiment, ExperimentConfig, ExperimentResult, TargetEvaluation,
 };
-pub use pipeline::{Recommender, RecommenderConfig};
 pub use serving::{
     BatchRequest, BudgetLedger, EpochPin, JournalLedger, RecommendationService, ServeError, Served,
     ServiceConfig,

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::{DeltaGraph, Direction, GraphView, NodeId};
 use psr_obs::{fields, Telemetry};
-use psr_privacy::{resolve_slots, topk};
+use psr_privacy::{resolve_slots, LinearSmoothing, ServeMechanism};
 use psr_utility::{calibrated_sensitivity, CandidateSet, UtilityFunction, UtilityVector};
 
 use super::{BatchRequest, Epoch, ServeError, Served, ServiceConfig};
@@ -107,9 +107,22 @@ impl EpochState {
         Arc::clone(cache.entry(target).or_insert(computed))
     }
 
+    /// ε one request about `target` costs in this epoch: the configured
+    /// ε, or for smoothing Theorem 5's `ln(1 + nx/(1−x))` at the target's
+    /// `n` candidates here. `n` varies by target and epoch, so a flat
+    /// charge would under-count; only smoothing builds the target state.
+    pub(crate) fn request_epsilon(&self, target: NodeId) -> f64 {
+        match self.config.mechanism {
+            ServeMechanism::Smoothing { x } => {
+                LinearSmoothing::new(x).epsilon(self.target_state(target).candidates.len())
+            }
+            _ => self.config.epsilon_per_request,
+        }
+    }
+
     /// Evaluates one admitted request: candidate set and utility vector
-    /// from the epoch cache, then `k` slots drawn from them with the
-    /// configured engine.
+    /// from the epoch cache, then slots drawn from them with the
+    /// configured mechanism.
     pub(crate) fn evaluate(
         &self,
         request: &BatchRequest,
@@ -126,11 +139,10 @@ impl EpochState {
             return Err(ServeError::NoCandidates { target: request.target });
         }
         let u = &state.utilities;
-        let k = request.k.min(u.len());
-        let top = topk::topk_with_engine(
+        let top = self.config.mechanism.sample(
             self.config.engine,
             u,
-            k,
+            request.k,
             self.config.epsilon_per_request,
             self.sensitivity,
             &mut rng,
@@ -142,7 +154,7 @@ impl EpochState {
             recommendations: resolve_slots(&top.picks, u, &state.candidates, &mut rng),
             zero_class_picks: top.picks.iter().filter(|p| p.is_none()).count(),
             total_utility: top.total_utility,
-            epsilon_spent: self.config.epsilon_per_request,
+            epsilon_spent: self.request_epsilon(request.target),
         })
     }
 

@@ -2,15 +2,15 @@
 //! shared graph, under per-target privacy budgets, across graph epochs —
 //! structured so the service can run as an always-on daemon.
 //!
-//! The single-query [`crate::Recommender`] answers one ε-private
-//! recommendation per call and recomputes the target's candidate set and
-//! utility vector every time. Real workloads (Appendix A's "multiple
-//! recommendations"; the measurement setting of Laro et al. 2023) look
-//! different: bursts of requests, several slots per target, a *cumulative*
-//! privacy budget that must eventually say no — and a social graph that
-//! keeps mutating underneath, while the service keeps answering. The
-//! [`RecommendationService`] packages that deployment shape in three
-//! layers:
+//! This is the one path every ε-private recommendation takes, for all
+//! three of the paper's mechanisms ([`ServiceConfig::mechanism`]): the CLI,
+//! the examples and the attack harness all sample through it. Real
+//! workloads (Appendix A's "multiple recommendations"; the measurement
+//! setting of Laro et al. 2023) are bursts of requests, several slots per
+//! target, a *cumulative* privacy budget that must eventually say no — and
+//! a social graph that keeps mutating underneath, while the service keeps
+//! answering. The [`RecommendationService`] packages that deployment shape
+//! in three layers:
 //!
 //! * **[`epoch`] — RCU-style epoch-pinned reads.** All read state (the
 //!   [`psr_graph::DeltaGraph`] view, the calibrated Δf, the per-target
@@ -39,9 +39,10 @@
 //! Serving semantics within one epoch are unchanged from the original
 //! batch server: worker-pool evaluation with per-request RNG streams
 //! (bit-identical across thread counts), per-target candidate/utility
-//! caching, the configured top-`k` engine ([`psr_privacy::topk`]) at
-//! ε/k per slot, and admission-time budget enforcement with typed
-//! refusals. Mutation batches are atomic all-or-nothing, invalidate
+//! caching, slots drawn by [`psr_privacy::ServeMechanism::sample`] (the
+//! configured top-`k` engine at ε/k per slot for the Exponential
+//! mechanism, one slot for Laplace and smoothing), and admission-time
+//! budget enforcement with typed refusals. Mutation batches are atomic all-or-nothing, invalidate
 //! exactly the targets within the utility's invalidation radius of a
 //! mutated endpoint, and fold the overlay into a fresh CSR base when it
 //! covers more than a quarter of the nodes.
@@ -76,7 +77,7 @@ use psr_graph::{
     DeltaGraph, EdgeMutation, Graph, GraphBackend, GraphError, GraphView, MutationOp, NodeId,
 };
 use psr_obs::{fields, Counter, SpanGuard, Telemetry};
-use psr_privacy::TopKEngine;
+use psr_privacy::{ServeMechanism, TopKEngine};
 use psr_utility::{SensitivityNorm, UtilityFunction};
 use serde::{Deserialize, Serialize};
 
@@ -93,6 +94,8 @@ pub struct BatchRequest {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceConfig {
     /// Privacy cost ε of one request (split ε/k across its `k` slots).
+    /// Smoothing ignores it: its cost follows from `x` and the target's
+    /// candidate count (Theorem 5).
     pub epsilon_per_request: f64,
     /// Total ε each target may consume over the service's lifetime
     /// (`f64::INFINITY` disables enforcement).
@@ -103,10 +106,14 @@ pub struct ServiceConfig {
     pub sensitivity_override: Option<f64>,
     /// Worker threads; `None` = available parallelism.
     pub threads: Option<usize>,
-    /// Which top-`k` sampler serves the slots. Both engines draw from the
-    /// same distribution (chi-square-pinned); Gumbel is the O(|C| + k log
-    /// k) default, Peel the k-round reference engine.
+    /// Which top-`k` sampler serves the Exponential mechanism's slots.
+    /// Both engines draw from the same distribution (chi-square-pinned);
+    /// Gumbel is the O(|C| + k log k) default, Peel the k-round reference
+    /// engine.
     pub engine: TopKEngine,
+    /// Which mechanism draws the slots. Laplace and smoothing serve one
+    /// slot per request, whatever `k` asks for.
+    pub mechanism: ServeMechanism,
 }
 
 impl Default for ServiceConfig {
@@ -120,6 +127,7 @@ impl Default for ServiceConfig {
             sensitivity_override: None,
             threads: None,
             engine: TopKEngine::default(),
+            mechanism: ServeMechanism::Exponential,
         }
     }
 }
@@ -139,7 +147,9 @@ pub struct Served {
     pub zero_class_picks: usize,
     /// Sum of the true utilities of the recommended slots.
     pub total_utility: f64,
-    /// ε charged against the target's budget for this request.
+    /// ε charged against the target's budget for this request: the
+    /// configured ε, or Theorem 5's `ln(1 + nx/(1−x))` at the target's `n`
+    /// candidates for smoothing.
     pub epsilon_spent: f64,
 }
 
@@ -342,8 +352,9 @@ impl RecommendationService {
     /// shared with other consumers.
     ///
     /// # Panics
-    /// Panics if ε or the budget is not positive, or if the utility
-    /// function reports no sensitivity and none is overridden.
+    /// Panics if ε or the budget is not positive, if a smoothing weight
+    /// is outside `[0, 1)`, or if the utility function reports no
+    /// sensitivity and none is overridden.
     pub fn new(
         graph: impl Into<Arc<Graph>>,
         utility: Box<dyn UtilityFunction>,
@@ -400,6 +411,9 @@ impl RecommendationService {
         ledger: Box<dyn BudgetLedger>,
     ) -> Self {
         assert!(config.epsilon_per_request > 0.0, "epsilon must be positive");
+        if let ServeMechanism::Smoothing { x } = config.mechanism {
+            assert!((0.0..1.0).contains(&x), "smoothing x must be in [0, 1), got {x}");
+        }
         assert!(
             ledger.budget_per_target() == config.budget_per_target,
             "ledger budget {} disagrees with configured budget {}",
@@ -471,7 +485,7 @@ impl RecommendationService {
     }
 
     /// A shared handle to the current epoch's CSR base, for wiring
-    /// [`crate::Recommender`]s or further services to the same instance.
+    /// further services or experiments to the same instance.
     /// Pending overlay mutations (if any) are *not* visible through it;
     /// [`RecommendationService::snapshot`] materialises them.
     ///
@@ -752,7 +766,12 @@ fn admit(
     if request.k == 0 {
         return Some(ServeError::InvalidK { target: request.target });
     }
-    match ledger.try_charge(request.target, state.config.epsilon_per_request) {
+    // Smoothing at x = 0, or over no candidates, costs nothing to charge.
+    let epsilon = state.request_epsilon(request.target);
+    if epsilon == 0.0 {
+        return None;
+    }
+    match ledger.try_charge(request.target, epsilon) {
         Ok(()) => None,
         Err(BudgetExceeded { target, requested, remaining }) => {
             Some(ServeError::BudgetExhausted { target, requested, remaining })
@@ -955,13 +974,62 @@ mod tests {
     #[test]
     fn shares_graph_with_recommenders() {
         let svc = service(ServiceConfig::default());
-        let rec = crate::Recommender::new(
+        let laplace = RecommendationService::new(
             svc.shared_graph(),
             Box::new(CommonNeighbors),
-            Box::new(psr_privacy::ExponentialMechanism::paper()),
-            crate::RecommenderConfig::default(),
+            ServiceConfig { mechanism: ServeMechanism::Laplace, ..Default::default() },
         );
-        assert!(std::ptr::eq(svc.shared_graph().as_ref() as *const Graph, rec.graph()));
+        assert!(Arc::ptr_eq(&svc.shared_graph(), &laplace.shared_graph()));
+    }
+
+    #[test]
+    fn high_eps_serves_a_top_utility_node() {
+        let svc = service(ServiceConfig {
+            epsilon_per_request: 500.0,
+            budget_per_target: f64::INFINITY,
+            ..Default::default()
+        });
+        let u = CommonNeighbors.utilities_for(&svc.pin(), 0);
+        for seed in 0..10 {
+            let got = svc.serve_one(0, 1, seed).unwrap().recommendations[0];
+            // Ties possible: any argmax-utility node qualifies.
+            assert_eq!(u.get(got), u.u_max(), "seed {seed} served {got}");
+        }
+    }
+
+    #[test]
+    fn laplace_and_smoothing_serve_one_valid_slot() {
+        // Smoothing at x = 0 is the uniform recommender: ε = 0, no charge.
+        let mechanisms = [
+            ServeMechanism::Laplace,
+            ServeMechanism::Smoothing { x: 0.3 },
+            ServeMechanism::Smoothing { x: 0.0 },
+        ];
+        for mechanism in mechanisms {
+            let svc = service(ServiceConfig { mechanism, ..Default::default() });
+            for outcome in svc.serve_batch(&requests(3), 4) {
+                let served = outcome.unwrap();
+                assert_eq!(served.recommendations.len(), 1, "{mechanism:?} clamps k to 1");
+                let v = served.recommendations[0];
+                assert!(v != served.target && !svc.pin().has_edge(served.target, v));
+                assert_eq!(svc.spent_budget(served.target), served.epsilon_spent);
+            }
+        }
+    }
+
+    #[test]
+    fn sensitivity_override_respected() {
+        let svc = service(ServiceConfig { sensitivity_override: Some(7.5), ..Default::default() });
+        assert_eq!(svc.sensitivity(), 7.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "smoothing x must be in [0, 1)")]
+    fn non_private_smoothing_rejected() {
+        let _ = service(ServiceConfig {
+            mechanism: ServeMechanism::Smoothing { x: 1.0 },
+            ..Default::default()
+        });
     }
 
     #[test]

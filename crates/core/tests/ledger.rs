@@ -24,7 +24,9 @@ use proptest::prelude::*;
 use psr_core::serving::{BatchRequest, ServeError};
 use psr_core::{BudgetLedger, JournalLedger, RecommendationService, ServiceConfig};
 use psr_datasets::toy::karate_club;
-use psr_utility::CommonNeighbors;
+use psr_graph::EdgeMutation;
+use psr_privacy::{LinearSmoothing, ServeMechanism};
+use psr_utility::{CandidateSet, CommonNeighbors};
 
 /// A unique scratch path (no tempfile crate in the offline vendor set).
 fn scratch_path(tag: &str) -> PathBuf {
@@ -236,4 +238,56 @@ fn killed_service_replays_identical_spend_within_composed_budget() {
         );
         assert_eq!(spent, 1.5, "refused requests must not charge");
     }
+}
+
+/// Smoothing charges Theorem 5's ε at the target's candidate count in the
+/// admitting epoch: each served request reports `LinearSmoothing::epsilon`,
+/// a mutation epoch that adds a candidate raises the charge with it, a
+/// finite budget refuses at exactly the request that would overrun it,
+/// and a journal replay restores the spend.
+#[test]
+fn smoothing_charges_theorem5_epsilon_per_epoch_and_replays() {
+    let path = scratch_path("smoothing");
+    let _cleanup = Cleanup(path.clone());
+    let smoothing = LinearSmoothing::new(0.05);
+    let graph = karate_club();
+    let n = CandidateSet::for_target(&graph, 0).len();
+    let (before, after) = (smoothing.epsilon(n), smoothing.epsilon(n + 1));
+    // Two requests before the epoch and one after fit exactly.
+    let budget = before + before + after;
+    let config = ServiceConfig {
+        budget_per_target: budget,
+        mechanism: ServeMechanism::Smoothing { x: 0.05 },
+        ..Default::default()
+    };
+
+    let spent = {
+        let ledger = JournalLedger::open(&path, budget).unwrap();
+        let service = RecommendationService::with_ledger(
+            graph,
+            Box::new(CommonNeighbors),
+            config,
+            Box::new(ledger),
+        );
+        for seed in 0..2 {
+            assert_eq!(service.serve_one(0, 1, seed).unwrap().epsilon_spent, before);
+        }
+        // Deleting one of target 0's edges makes that neighbour a candidate.
+        service.apply_mutations(&[EdgeMutation::delete(0, 1)]).unwrap();
+        let served = service.serve_one(0, 3, 2).unwrap();
+        assert_eq!(served.epsilon_spent, after, "the charge follows the candidate count");
+        assert_eq!(served.recommendations.len(), 1, "smoothing serves one slot");
+        match service.serve_one(0, 1, 3) {
+            Err(ServeError::BudgetExhausted { target: 0, requested, .. }) => {
+                assert_eq!(requested, after);
+            }
+            other => panic!("the fourth request must overrun the budget, got {other:?}"),
+        }
+        assert!(service.serve_one(1, 1, 4).is_ok(), "other targets keep their budget");
+        service.spent_budget(0)
+    };
+    assert_eq!(spent, budget);
+
+    let replayed = JournalLedger::open(&path, budget).unwrap();
+    assert_eq!(replayed.spent(0), spent, "the journal replays smoothing spend bit for bit");
 }

@@ -190,6 +190,15 @@ mod tests {
     }
 
     #[test]
+    fn expected_accuracy_in_unit_interval_and_monotone_in_eps() {
+        let mech = ExponentialMechanism::paper();
+        let lo = mech.expected_accuracy(&vector(), 0.2, 1.0, &mut rng(3));
+        let hi = mech.expected_accuracy(&vector(), 3.0, 1.0, &mut rng(3));
+        assert!((0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
+        assert!(hi > lo, "more budget must buy accuracy: {lo} vs {hi}");
+    }
+
+    #[test]
     fn expected_accuracy_closed_form() {
         let mech = ExponentialMechanism::paper();
         let u = vector();

@@ -18,6 +18,9 @@
 //!   accuracy `x·μ`.
 //! * [`closed_form`] — Lemma 3's exact two-candidate Laplace win
 //!   probability, used to show Laplace ≢ Exponential (App. E).
+//! * [`ServeMechanism`] — the one slot sampler every serving path calls,
+//!   for all three mechanisms; [`resolve_slots`] names the zero-class
+//!   slots it draws.
 //! * [`audit`] — exact DP-ratio verification on neighbouring inputs.
 //! * [`topk`] — a peeling top-`k` extension (§8 / App. A "multiple
 //!   recommendations").
@@ -34,6 +37,8 @@ pub mod topk;
 pub use exponential::{ExponentialMechanism, ExponentialScaling};
 pub use laplace_dist::Laplace;
 pub use laplace_mech::LaplaceMechanism;
-pub use mechanism::{resolve_slots, resolve_zero_class_distinct, Mechanism, Recommendation};
+pub use mechanism::{
+    resolve_slots, resolve_zero_class_distinct, Mechanism, Recommendation, ServeMechanism,
+};
 pub use smoothing::LinearSmoothing;
 pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};

@@ -1,8 +1,12 @@
-//! The mechanism abstraction and the zero-class resolver.
+//! The mechanism abstraction, the one slot sampler every serving path
+//! calls ([`ServeMechanism::sample`]) and the zero-class resolver.
 
 use psr_graph::NodeId;
 use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
+
+use crate::topk::{topk_with_engine, TopK, TopKEngine};
+use crate::{LaplaceMechanism, LinearSmoothing};
 
 /// Outcome of one mechanism invocation.
 ///
@@ -64,6 +68,53 @@ pub trait Mechanism: Send + Sync {
     ) -> f64;
 }
 
+/// The mechanism a serving path draws slots with: §5's Exponential
+/// mechanism, Definition 6's Laplace mechanism or Definition 7's linear
+/// smoothing. [`ServeMechanism::sample`] is the one function that draws
+/// slots for all three; [`resolve_slots`] then names the zero-class slots.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServeMechanism {
+    /// Top-`k` Exponential-mechanism peeling at ε/k per slot.
+    Exponential,
+    /// Single-draw Laplace noisy argmax.
+    Laplace,
+    /// Single-draw linear smoothing, `ln(1 + nx/(1−x))`-DP at `n`
+    /// candidates (Theorem 5) whatever ε is configured.
+    Smoothing {
+        /// Mixing weight: probability of playing `R_best`.
+        x: f64,
+    },
+}
+
+impl ServeMechanism {
+    /// Draws distinct slots from `u`: `k` clamped to the candidate count,
+    /// and to 1 for the single-draw Laplace and smoothing mechanisms.
+    /// Only the Exponential mechanism reads `engine`.
+    pub fn sample(
+        self,
+        engine: TopKEngine,
+        u: &UtilityVector,
+        k: usize,
+        eps: f64,
+        sensitivity: f64,
+        rng: &mut dyn rand::RngCore,
+    ) -> TopK {
+        let draw = match self {
+            ServeMechanism::Exponential => {
+                return topk_with_engine(engine, u, k.min(u.len()), eps, sensitivity, rng)
+            }
+            ServeMechanism::Laplace => {
+                LaplaceMechanism::default().recommend(u, eps, sensitivity, rng)
+            }
+            ServeMechanism::Smoothing { x } => {
+                LinearSmoothing::new(x).recommend(u, eps, sensitivity, rng)
+            }
+        };
+        let slot = draw.slot();
+        TopK { picks: vec![slot], total_utility: slot.map_or(0.0, |v| u.get(v)) }
+    }
+}
+
 /// Resolves `count` anonymous zero-utility-class picks to **distinct**
 /// concrete node ids, in uniformly random order: round `i` draws a rank
 /// uniformly among the `z − i` members left and selects it with
@@ -111,6 +162,34 @@ mod tests {
     use psr_graph::{Direction, GraphBuilder, GraphView};
     use psr_utility::UtilityFunction;
     use rand::{RngCore, SeedableRng};
+
+    #[test]
+    fn sample_clamps_k_and_replays_the_underlying_draws() {
+        let u = UtilityVector::from_sparse(vec![(1, 4.0), (5, 2.0)], 3);
+        let seeded = || rand::rngs::StdRng::seed_from_u64(29);
+        for engine in [TopKEngine::Peel, TopKEngine::Gumbel] {
+            // Exponential: the engine's own top-k, k clamped to |C| = 5.
+            let (mut a, mut b) = (seeded(), seeded());
+            let top = ServeMechanism::Exponential.sample(engine, &u, 9, 1.0, 1.0, &mut a);
+            assert_eq!(top, topk_with_engine(engine, &u, 5, 1.0, 1.0, &mut b));
+            assert_eq!(a.next_u64(), b.next_u64(), "same number of draws");
+        }
+        let single: [(ServeMechanism, &dyn Mechanism); 2] = [
+            (ServeMechanism::Laplace, &LaplaceMechanism { trials: 1 }),
+            (ServeMechanism::Smoothing { x: 0.4 }, &LinearSmoothing::new(0.4)),
+        ];
+        for (mechanism, reference) in single {
+            for seed in 0..50 {
+                let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let top = mechanism.sample(TopKEngine::Gumbel, &u, 3, 0.7, 1.0, &mut a);
+                let slot = reference.recommend(&u, 0.7, 1.0, &mut b).slot();
+                assert_eq!(top.picks, vec![slot], "{mechanism:?} serves one slot");
+                assert_eq!(top.total_utility, slot.map_or(0.0, |v| u.get(v)));
+                assert_eq!(a.next_u64(), b.next_u64(), "{mechanism:?}: same draws");
+            }
+        }
+    }
 
     #[test]
     fn resolve_zero_class_picks_a_zero_utility_candidate() {

@@ -2,9 +2,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use psr_core::{Recommender, RecommenderConfig};
+use psr_core::{RecommendationService, ServiceConfig};
 use psr_datasets::toy::karate_club;
-use psr_privacy::ExponentialMechanism;
+use psr_privacy::{ExponentialMechanism, Mechanism};
 use psr_utility::{CommonNeighbors, UtilityFunction};
 use rand::SeedableRng;
 
@@ -16,20 +16,21 @@ fn main() {
         graph.num_edges()
     );
 
-    // The paper's pipeline: graph → utility function → DP mechanism.
+    // The paper's pipeline: graph → utility function → DP mechanism (the
+    // service's default, the Exponential mechanism), each request charged
+    // ε against the target's budget.
     let epsilon = 1.0;
-    let recommender = Recommender::new(
+    let service = RecommendationService::new(
         graph.clone(),
         Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig { epsilon, ..Default::default() },
+        ServiceConfig { epsilon_per_request: epsilon, ..Default::default() },
     );
 
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2011);
     let target = 0u32; // the instructor
     println!("ε = {epsilon} private suggestions for member {target}:");
     for round in 1..=5 {
-        let suggestion = recommender.recommend(target, &mut rng).expect("candidates exist");
+        let served = service.serve_one(target, 1, 2011 + round).expect("budget and candidates");
+        let suggestion = served.recommendations[0];
         let utility = CommonNeighbors.utilities_for(&graph, target).get(suggestion);
         println!("  round {round}: member {suggestion:2} (shares {utility} friends)");
     }
@@ -39,7 +40,13 @@ fn main() {
     // (Corollary 1 of the paper).
     let u = CommonNeighbors.utilities_for(&graph, target);
     let t = CommonNeighbors.edit_distance_t(&graph, target, &u).unwrap();
-    let achieved = recommender.expected_accuracy(target, &mut rng).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2011);
+    let achieved = ExponentialMechanism::paper().expected_accuracy(
+        &u,
+        epsilon,
+        service.sensitivity(),
+        &mut rng,
+    );
     let ceiling = psr_bounds::best_accuracy_bound(&u, epsilon, t, None);
     println!(
         "\nexpected accuracy {:.3} vs theoretical ceiling {:.3} (t = {t}, k = {}, c = {:.2})",
@@ -48,5 +55,10 @@ fn main() {
     println!(
         "the non-private optimum would always return a node with {} shared friends",
         u.u_max()
+    );
+    println!(
+        "ε spent on member {target}: {} of {}",
+        service.spent_budget(target),
+        service.config().budget_per_target
     );
 }

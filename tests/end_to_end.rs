@@ -3,34 +3,30 @@
 
 use psr_core::figures::{fig1a, fig1b, fig2a, fig2c, FigureConfig};
 use psr_core::report::render_figure;
-use psr_core::{Recommender, RecommenderConfig};
+use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism};
+use psr_privacy::ServeMechanism;
 use psr_utility::{CommonNeighbors, WeightedPaths};
-use rand::SeedableRng;
-
-fn rng(seed: u64) -> rand::rngs::StdRng {
-    rand::rngs::StdRng::seed_from_u64(seed)
-}
 
 #[test]
 fn full_pipeline_on_scaled_wiki() {
     let (graph, meta) = wiki_vote_like(PresetConfig::scaled(0.08, 11)).unwrap();
     assert!(meta.num_nodes > 500);
-    let rec = Recommender::new(
+    let service = RecommendationService::new(
         graph.clone(),
         Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig { epsilon: 1.0, ..Default::default() },
+        ServiceConfig { epsilon_per_request: 1.0, ..Default::default() },
     );
-    let mut r = rng(1);
+    let requests: Vec<BatchRequest> = (0..graph.num_nodes() as u32)
+        .step_by(97)
+        .map(|target| BatchRequest { target, k: 1 })
+        .collect();
     let mut served = 0;
-    for target in (0..graph.num_nodes() as u32).step_by(97) {
-        if let Some(v) = rec.recommend(target, &mut r) {
-            assert_ne!(v, target);
-            assert!(!graph.has_edge(target, v));
-            served += 1;
-        }
+    for answer in service.serve_batch(&requests, 1).into_iter().flatten() {
+        let v = answer.recommendations[0];
+        assert_ne!(v, answer.target);
+        assert!(!graph.has_edge(answer.target, v));
+        served += 1;
     }
     assert!(served > 3, "should serve most sampled targets");
 }
@@ -39,16 +35,20 @@ fn full_pipeline_on_scaled_wiki() {
 fn full_pipeline_on_scaled_twitter_directed() {
     let (graph, _) = twitter_like(PresetConfig::scaled(0.02, 11)).unwrap();
     assert!(graph.is_directed());
-    let rec = Recommender::new(
-        graph,
+    let service = RecommendationService::new(
+        graph.clone(),
         Box::new(WeightedPaths::paper(0.005)),
-        Box::new(LaplaceMechanism { trials: 100 }),
-        RecommenderConfig { epsilon: 2.0, ..Default::default() },
+        ServiceConfig {
+            epsilon_per_request: 2.0,
+            mechanism: ServeMechanism::Laplace,
+            ..Default::default()
+        },
     );
-    let mut r = rng(2);
     // Node 0 is the forced hub; it must have candidates and a valid draw.
-    let v = rec.recommend(0, &mut r);
-    assert!(v.is_some());
+    let served = service.serve_one(0, 1, 2).expect("the hub has candidates");
+    assert_eq!(served.recommendations.len(), 1);
+    let v = served.recommendations[0];
+    assert!(v != 0 && !graph.has_edge(0, v), "recommended an existing out-edge {v}");
 }
 
 #[test]

@@ -6,11 +6,10 @@
 use std::sync::Arc;
 
 use psr_core::serving::{BatchRequest, RecommendationService, ServeError, ServiceConfig};
-use psr_core::{Recommender, RecommenderConfig};
 use psr_datasets::{twitter_like, wiki_vote_like, PresetConfig};
 use psr_gen::{edge_stream, rng_from_seed, StreamParams};
 use psr_graph::{EdgeMutation, GraphView, MutationOp};
-use psr_privacy::ExponentialMechanism;
+use psr_privacy::ServeMechanism;
 use psr_utility::{CandidateSet, CommonNeighbors, WeightedPaths};
 
 fn wiki_service(threads: Option<usize>) -> RecommendationService {
@@ -151,22 +150,20 @@ fn budgets_are_enforced_per_target_across_batches() {
 #[test]
 fn service_and_recommender_share_one_graph() {
     let service = wiki_service(Some(2));
-    let recommender = Recommender::new(
+    let laplace = RecommendationService::new(
         service.shared_graph(),
         Box::new(CommonNeighbors),
-        Box::new(ExponentialMechanism::paper()),
-        RecommenderConfig::default(),
+        ServiceConfig { mechanism: ServeMechanism::Laplace, ..Default::default() },
     );
-    assert!(std::ptr::eq(service.shared_graph().as_ref() as *const _, recommender.graph()));
+    assert!(Arc::ptr_eq(&service.shared_graph(), &laplace.shared_graph()));
 
-    // Both paths serve valid recommendations from the same instance.
+    // Both mechanisms serve valid recommendations from the same instance.
     let graph = service.shared_graph();
     let target = graph.nodes().find(|&v| graph.degree(v) > 0).unwrap();
-    let served = service.serve_one(target, 1, 3).unwrap();
-    assert!(!service.pin().has_edge(target, served.recommendations[0]));
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
-    let single = recommender.recommend(target, &mut rng).unwrap();
-    assert!(!recommender.graph().has_edge(target, single));
+    for svc in [&service, &laplace] {
+        let served = svc.serve_one(target, 1, 3).unwrap();
+        assert!(!svc.pin().has_edge(target, served.recommendations[0]));
+    }
 }
 
 #[test]
@@ -339,4 +336,61 @@ fn pinned_batches_drain_bit_identically_while_epochs_advance() {
     let current = service.pin();
     assert_eq!(current.version(), schedule.len() as u64);
     assert_eq!(current.num_edges() as i64, base_edges as i64 + net_edges);
+}
+
+/// The service samples exactly the distribution §5 and Appendix F define
+/// for its single-draw mechanisms: 12k one-slot requests on a fixture
+/// with three utility levels (2, 1 and a 3-member zero class), their
+/// concrete-id frequencies χ²-tested against the attack model's
+/// likelihood (numerically integrated for Laplace, exact for smoothing).
+/// Five ids give 4 degrees of freedom; the 0.999 critical value is 18.47.
+#[test]
+fn service_samples_laplace_and_smoothing_exactly_chi_square() {
+    use psr_attack::{MechanismModel, ObservationModel};
+    use psr_graph::{Direction, GraphBuilder};
+    use psr_utility::UtilityFunction;
+
+    const DRAWS: usize = 12_000;
+    let graph = GraphBuilder::new(Direction::Undirected)
+        .add_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)])
+        .with_num_nodes(8)
+        .build()
+        .unwrap();
+    let candidates = CandidateSet::for_target(&graph, 0);
+    let utilities = CommonNeighbors.utilities(&graph, 0, &candidates);
+    assert_eq!(candidates.len(), 5);
+    assert_eq!(utilities.num_zero(), 3);
+
+    for mechanism in [ServeMechanism::Laplace, ServeMechanism::Smoothing { x: 0.3 }] {
+        let service = RecommendationService::new(
+            graph.clone(),
+            Box::new(CommonNeighbors),
+            ServiceConfig { budget_per_target: f64::INFINITY, mechanism, ..Default::default() },
+        );
+        let model = ObservationModel {
+            candidates: candidates.clone(),
+            utilities: utilities.clone(),
+            mechanism: match mechanism {
+                ServeMechanism::Smoothing { x } => MechanismModel::Smoothing { x },
+                _ => MechanismModel::Laplace { epsilon: 1.0, sensitivity: service.sensitivity() },
+            },
+        };
+        let requests = vec![BatchRequest { target: 0, k: 1 }; DRAWS];
+        let mut counts = std::collections::HashMap::new();
+        for outcome in service.serve_batch(&requests, 2011) {
+            let served = outcome.unwrap();
+            assert_eq!(served.recommendations.len(), 1);
+            *counts.entry(served.recommendations[0]).or_insert(0u32) += 1;
+        }
+        let chi2: f64 = candidates
+            .iter()
+            .map(|v| {
+                let expected = DRAWS as f64 * model.log_prob(&[v]).exp();
+                let observed = f64::from(counts.get(&v).copied().unwrap_or(0));
+                (observed - expected).powi(2) / expected
+            })
+            .sum();
+        assert_eq!(counts.len(), 5, "{mechanism:?}: every candidate must be reachable");
+        assert!(chi2 < 18.47, "{mechanism:?}: χ² = {chi2:.2} (crit 18.47 @ 0.999), {counts:?}");
+    }
 }
