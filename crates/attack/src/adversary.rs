@@ -22,7 +22,7 @@
 use psr_gen::seed::{rng_from_seed, split_seed};
 use psr_graph::NodeId;
 
-use crate::model::WorldModel;
+use crate::model::{ClassTable, WorldModel};
 use crate::transcript::Transcript;
 
 /// Scores are clamped to ±this value so support mismatches (log-ratio
@@ -42,7 +42,10 @@ pub trait Adversary: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Scores a batch of transcripts. Batch-level so implementations can
-    /// amortise per-model work (e.g. shadow sampling) across transcripts.
+    /// amortise per-model work across transcripts: shadow sampling for
+    /// [`LikelihoodRatioMia`], and for [`ReconstructionAdversary`] one
+    /// Laplace win-probability integral per (world, deduplicated model,
+    /// utility class), kept in a class table local to the call.
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64>;
 
     /// Scores one transcript (a one-element batch).
@@ -59,11 +62,11 @@ pub trait Adversary: Send + Sync {
 pub struct ReconstructionAdversary;
 
 impl ReconstructionAdversary {
-    fn score_one(t: &Transcript, w0: &WorldModel, w1: &WorldModel) -> f64 {
+    fn score_one(t: &Transcript, w0: &mut ClassTable, w1: &mut ClassTable) -> f64 {
         let mut total = 0.0;
         for (i, obs) in t.entries.iter().enumerate() {
-            let lp0 = w0.model_for(i).log_prob(&obs.recommendations);
-            let lp1 = w1.model_for(i).log_prob(&obs.recommendations);
+            let lp0 = w0.log_prob(i, &obs.recommendations);
+            let lp1 = w1.log_prob(i, &obs.recommendations);
             match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
                 // Impossible under both hypotheses: carries no evidence
                 // about which of the two worlds produced it.
@@ -84,7 +87,8 @@ impl Adversary for ReconstructionAdversary {
     }
 
     fn score_all(&self, transcripts: &[Transcript], w0: &WorldModel, w1: &WorldModel) -> Vec<f64> {
-        transcripts.iter().map(|t| Self::score_one(t, w0, w1)).collect()
+        let (mut t0, mut t1) = (ClassTable::new(w0), ClassTable::new(w1));
+        transcripts.iter().map(|t| Self::score_one(t, &mut t0, &mut t1)).collect()
     }
 }
 
@@ -301,6 +305,55 @@ mod tests {
         assert_eq!(base.score(&transcript([4, 4]), &w0, &w1), 1.0);
         assert_eq!(base.score(&transcript([4, 3]), &w0, &w1), 0.5);
         assert_eq!(base.score(&transcript([3, 5]), &w0, &w1), 0.0);
+    }
+
+    #[test]
+    fn laplace_class_table_is_exact() {
+        use crate::harness::{
+            leaking_secret_edge, AttackMechanism, EdgeInferenceScenario, ScenarioConfig,
+        };
+        use psr_datasets::toy::karate_club;
+        use std::sync::Arc;
+
+        // The reference: per-entry `log_prob` ratios, no table, under the
+        // same support-mismatch arms as `score_one`.
+        fn reference(t: &Transcript, w0: &WorldModel, w1: &WorldModel) -> f64 {
+            let mut total = 0.0;
+            for (i, obs) in t.entries.iter().enumerate() {
+                let lp0 = w0.model_for(i).log_prob(&obs.recommendations);
+                let lp1 = w1.model_for(i).log_prob(&obs.recommendations);
+                match (lp0 == f64::NEG_INFINITY, lp1 == f64::NEG_INFINITY) {
+                    (true, true) => {}
+                    (true, false) => return SCORE_CLAMP,
+                    (false, true) => return -SCORE_CLAMP,
+                    (false, false) => total += lp1 - lp0,
+                }
+            }
+            total.clamp(-SCORE_CLAMP, SCORE_CLAMP)
+        }
+
+        let graph = Arc::new(karate_club());
+        let (secret, observers) =
+            leaking_secret_edge(&graph, &psr_utility::CommonNeighbors, 4, 20_000).unwrap();
+        let config = ScenarioConfig {
+            rounds: 8,
+            trials_per_world: 6,
+            mechanism: AttackMechanism::Laplace { epsilon: 0.5 },
+            ..ScenarioConfig::new(secret, observers)
+        };
+        let s = EdgeInferenceScenario::new(
+            Arc::clone(&graph) as Arc<psr_graph::Graph>,
+            Box::new(psr_utility::CommonNeighbors),
+            config,
+        );
+        let set = s.collect();
+        let (w0, w1) = s.world_models();
+        for transcripts in [&set.world0, &set.world1] {
+            let scores = ReconstructionAdversary.score_all(transcripts, w0, w1);
+            for (t, s) in transcripts.iter().zip(scores) {
+                assert_eq!(s.to_bits(), reference(t, w0, w1).to_bits(), "{t:?}");
+            }
+        }
     }
 
     #[test]

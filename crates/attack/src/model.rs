@@ -25,6 +25,19 @@
 //! member (the round's class-draw probability `zᵣ·w₀/mass` times the
 //! without-replacement assignment `1/zᵣ` collapses to `w₀/mass`). The
 //! peeling likelihood below walks exactly that recursion in log space.
+//!
+//! ## The Laplace class table
+//!
+//! The same exchangeability makes a Laplace win probability a function
+//! of the pick's utility class alone: every candidate with utility `u`
+//! wins with the probability of the integral at `u`, and a transcript
+//! repeats few classes per observer. Batch scoring therefore goes through
+//! a `ClassTable` per world, which integrates each (deduplicated model,
+//! utility class) once and looks it up for every later entry. The table
+//! only caches the integral, so scores are bit-identical to per-entry
+//! [`ObservationModel::log_prob`] calls.
+
+use std::collections::HashMap;
 
 use psr_graph::NodeId;
 use psr_privacy::{resolve_slots, topk, Laplace, ServeMechanism, TopKEngine};
@@ -163,16 +176,22 @@ impl ObservationModel {
         lp
     }
 
-    /// `P(v is the noisy argmax)` for the Laplace mechanism, via trapezoid
-    /// integration of `f(x−u_v)·Π_g F(x−u_g)^{m_g}` over the grouped
-    /// utility classes (`v`'s own class decremented) — the exact win
-    /// probability of a *specific* candidate, matching the mechanism's
-    /// uniform within-class resolution by exchangeability.
+    /// `P(v is the noisy argmax)` for the Laplace mechanism: `NEG_INFINITY`
+    /// for a non-candidate, else the win probability of `v`'s utility
+    /// class ([`ObservationModel::laplace_class_log_prob`]).
     fn laplace_win_log_prob(&self, v: NodeId, epsilon: f64, sensitivity: f64) -> f64 {
         if !self.candidates.contains(v) {
             return f64::NEG_INFINITY;
         }
-        let uv = self.utilities.get(v);
+        self.laplace_class_log_prob(self.utilities.get(v), epsilon, sensitivity)
+    }
+
+    /// Log win probability of one *specific* candidate with utility `uv`,
+    /// via trapezoid integration of `f(x−u_v)·Π_g F(x−u_g)^{m_g}` over the
+    /// grouped utility classes (`uv`'s own class decremented). By
+    /// exchangeability every candidate of a class has this probability,
+    /// matching the mechanism's uniform within-class resolution.
+    fn laplace_class_log_prob(&self, uv: f64, epsilon: f64, sensitivity: f64) -> f64 {
         let noise = Laplace::for_mechanism(sensitivity, epsilon);
         let b = noise.scale();
         let mut groups = self.utilities.grouped_desc();
@@ -315,6 +334,42 @@ impl WorldModel {
     }
 }
 
+/// One world's log-probabilities over a batch of transcripts, with each
+/// Laplace win probability integrated once per (deduplicated model,
+/// utility class) and looked up after that. Every other observation
+/// (Exponential, smoothing, and Laplace non-candidates) goes straight to
+/// [`ObservationModel::log_prob`]; the values are identical either way.
+pub(crate) struct ClassTable<'a> {
+    world: &'a WorldModel,
+    /// Per deduplicated model: utility bits → Laplace log win probability.
+    laplace: Vec<HashMap<u64, f64>>,
+}
+
+impl<'a> ClassTable<'a> {
+    /// An empty table over `world`.
+    pub(crate) fn new(world: &'a WorldModel) -> Self {
+        ClassTable { world, laplace: vec![HashMap::new(); world.models.len()] }
+    }
+
+    /// [`ObservationModel::log_prob`] of `picks` under transcript entry
+    /// `entry`'s model.
+    pub(crate) fn log_prob(&mut self, entry: usize, picks: &[NodeId]) -> f64 {
+        let index = self.world.model_index(entry);
+        let model = &self.world.models[index];
+        match (model.mechanism, picks) {
+            (MechanismModel::Laplace { epsilon, sensitivity }, &[v])
+                if model.candidates.contains(v) =>
+            {
+                let uv = model.utilities.get(v);
+                *self.laplace[index]
+                    .entry(uv.to_bits())
+                    .or_insert_with(|| model.laplace_class_log_prob(uv, epsilon, sensitivity))
+            }
+            _ => model.log_prob(picks),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +491,33 @@ mod tests {
         let p5 = m.log_prob(&[5]).exp();
         assert!((p3 + p4 + p5 - 1.0).abs() < 5e-5, "sum {}", p3 + p4 + p5);
         assert!(p3 > p4 && p4 > p5, "monotone in utility: {p3} {p4} {p5}");
+    }
+
+    #[test]
+    fn laplace_log_prob_depends_only_on_the_pick_class() {
+        // Target 0: CN(3) = 2, CN(4) = CN(5) = 1, and 6, 7 in the zero
+        // class; 1 is a neighbour, so not a candidate.
+        let g = GraphBuilder::new(Direction::Undirected)
+            .add_edges([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 5)])
+            .with_num_nodes(8)
+            .build()
+            .unwrap();
+        let candidates = CandidateSet::for_target(&g, 0);
+        let utilities = psr_utility::CommonNeighbors.utilities(&g, 0, &candidates);
+        assert_eq!((utilities.get(4), utilities.get(5)), (1.0, 1.0));
+        assert_eq!(utilities.num_zero(), 2);
+        let m = ObservationModel {
+            candidates,
+            utilities,
+            mechanism: MechanismModel::Laplace { epsilon: 0.5, sensitivity: 1.0 },
+        };
+        for (a, b) in [(6, 7), (4, 5)] {
+            let (pa, pb) = (m.log_prob(&[a]), m.log_prob(&[b]));
+            assert!(pa.is_finite(), "node {a}: {pa}");
+            assert_eq!(pa.to_bits(), pb.to_bits(), "nodes {a} and {b}");
+        }
+        assert_ne!(m.log_prob(&[3]), m.log_prob(&[4]), "distinct classes differ");
+        assert_eq!(m.log_prob(&[1]), f64::NEG_INFINITY, "a neighbour is no candidate");
     }
 
     #[test]

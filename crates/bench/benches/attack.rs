@@ -27,7 +27,12 @@ use psr_utility::CommonNeighbors;
 
 /// The karate-club scenario every attack bench runs (the acceptance
 /// suite's graph, so numbers track the tested path).
-fn scenario(rounds: usize, trials: usize, threads: usize) -> EdgeInferenceScenario {
+fn scenario(
+    rounds: usize,
+    trials: usize,
+    threads: usize,
+    mechanism: AttackMechanism,
+) -> EdgeInferenceScenario {
     let graph = Arc::new(karate_club());
     let (secret, observers) =
         leaking_secret_edge(&graph, &CommonNeighbors, 4, 20_000).expect("karate leaks");
@@ -36,28 +41,36 @@ fn scenario(rounds: usize, trials: usize, threads: usize) -> EdgeInferenceScenar
         trials_per_world: trials,
         threads: Some(threads),
         seed: BENCH_SEED,
-        mechanism: AttackMechanism::Exponential { epsilon: 0.5 },
+        mechanism,
         ..ScenarioConfig::new(secret, observers)
     };
     EdgeInferenceScenario::new(Arc::clone(&graph) as Arc<Graph>, Box::new(CommonNeighbors), config)
 }
 
 /// Reconstruction scoring vs transcript length: the exact likelihood
-/// walk is O(entries), measured at 1×, 4× and 16× rounds.
+/// walk is O(entries), measured at 1×, 4× and 16× rounds, for the
+/// Exponential peeling likelihood and for Laplace, whose win-probability
+/// integrals are tabled once per (world, model, utility class).
 fn attack_transcript_scaling(c: &mut Criterion) {
-    for rounds in [2usize, 8, 32] {
-        let s = scenario(rounds, 8, 4);
-        let set = s.collect();
-        let (w0, w1) = s.world_models();
-        c.bench_function(format!("attack_score_reconstruction_rounds_{rounds}"), |b| {
-            b.iter(|| {
-                black_box(ReconstructionAdversary.score_all(
-                    black_box(&set.world1),
-                    black_box(w0),
-                    black_box(w1),
-                ))
-            })
-        });
+    let mechanisms = [
+        ("", AttackMechanism::Exponential { epsilon: 0.5 }),
+        ("laplace_", AttackMechanism::Laplace { epsilon: 0.5 }),
+    ];
+    for (tag, mechanism) in mechanisms {
+        for rounds in [2usize, 8, 32] {
+            let s = scenario(rounds, 8, 4, mechanism);
+            let set = s.collect();
+            let (w0, w1) = s.world_models();
+            c.bench_function(format!("attack_score_reconstruction_{tag}rounds_{rounds}"), |b| {
+                b.iter(|| {
+                    black_box(ReconstructionAdversary.score_all(
+                        black_box(&set.world1),
+                        black_box(w0),
+                        black_box(w1),
+                    ))
+                })
+            });
+        }
     }
 }
 
@@ -65,7 +78,7 @@ fn attack_transcript_scaling(c: &mut Criterion) {
 /// the same scenario (identical transcripts by construction).
 fn attack_harness_throughput(c: &mut Criterion) {
     for threads in [1usize, 4] {
-        let s = scenario(4, 16, threads);
+        let s = scenario(4, 16, threads, AttackMechanism::Exponential { epsilon: 0.5 });
         c.bench_function(format!("attack_collect_threads_{threads}"), |b| {
             b.iter(|| black_box(s.collect()))
         });
@@ -73,8 +86,8 @@ fn attack_harness_throughput(c: &mut Criterion) {
 
     // Printed once, asserted: the pool must not *lose* to one worker on
     // a 64-trial collection (scheduling overhead stays sub-linear).
-    let single = scenario(4, 64, 1);
-    let pooled = scenario(4, 64, 4);
+    let single = scenario(4, 64, 1, AttackMechanism::Exponential { epsilon: 0.5 });
+    let pooled = scenario(4, 64, 4, AttackMechanism::Exponential { epsilon: 0.5 });
     let t0 = Instant::now();
     let a = single.collect();
     let single_time = t0.elapsed();

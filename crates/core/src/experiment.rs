@@ -20,6 +20,8 @@ use psr_utility::{calibrated_sensitivity, CandidateSet, SensitivityNorm, Utility
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
+use crate::parallel::map_chunked;
+
 /// Experiment configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
@@ -167,26 +169,12 @@ pub fn run_experiment(
         .clamp(1, graph.num_nodes());
     let targets = &nodes[..count];
 
-    let threads = config
-        .threads
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-        .max(1);
-    let chunk_size = targets.len().div_ceil(threads);
-
-    let mut evaluations: Vec<Option<TargetEvaluation>> = vec![None; targets.len()];
-    std::thread::scope(|scope| {
-        for (chunk, out) in targets.chunks(chunk_size).zip(evaluations.chunks_mut(chunk_size)) {
-            let config = *config;
-            scope.spawn(move || {
-                for (i, &target) in chunk.iter().enumerate() {
-                    // Per-target stream: reordering threads cannot change
-                    // any target's result.
-                    let mut rng = rng_from_seed(split_seed(config.seed, 0xE0_0000 + target as u64));
-                    out[i] =
-                        evaluate_target(graph, utility, &config, sensitivity, target, &mut rng);
-                }
-            });
-        }
+    let evaluations = map_chunked(config.threads, targets.len(), |i| {
+        let target = targets[i];
+        // Per-target stream: reordering threads cannot change any
+        // target's result.
+        let mut rng = rng_from_seed(split_seed(config.seed, 0xE0_0000 + target as u64));
+        evaluate_target(graph, utility, config, sensitivity, target, &mut rng)
     });
 
     let targets_sampled = targets.len();

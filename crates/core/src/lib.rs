@@ -24,7 +24,9 @@
 //! * [`figures`] — one harness per figure (1(a)–2(c)) plus the in-text
 //!   comparisons, regenerating the paper's series,
 //! * [`cdf`]/[`report`] — the accuracy-CDF aggregation and text rendering
-//!   used for EXPERIMENTS.md.
+//!   used for EXPERIMENTS.md,
+//! * [`parallel`] — the chunked fan-out serving, experiments and the
+//!   attack harness share (inline when the work fits in one chunk).
 //!
 //! ## Sharing one graph across consumers
 //!
@@ -78,6 +80,7 @@
 pub mod cdf;
 pub mod experiment;
 pub mod figures;
+pub mod parallel;
 pub mod report;
 pub mod serving;
 

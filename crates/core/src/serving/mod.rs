@@ -81,6 +81,8 @@ use psr_privacy::{ServeMechanism, TopKEngine};
 use psr_utility::{SensitivityNorm, UtilityFunction};
 use serde::{Deserialize, Serialize};
 
+use crate::parallel::map_chunked;
+
 /// One entry of a serving batch: `k` recommendation slots for `target`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchRequest {
@@ -665,8 +667,9 @@ impl RecommendationService {
     /// Budget admission runs sequentially in request order *before* any
     /// evaluation (so "which request hit the budget wall" never depends
     /// on scheduling), and the ledger is synced before any evaluation
-    /// begins; admitted requests are then evaluated on the worker pool,
-    /// each with an RNG stream split from `seed` and its request index.
+    /// begins; admitted requests are then evaluated on the worker pool
+    /// (on the calling thread when they fit in one chunk), each with an
+    /// RNG stream split from `seed` and its request index.
     pub fn serve_batch(
         &self,
         requests: &[BatchRequest],
@@ -696,26 +699,12 @@ impl RecommendationService {
 
         // Phase 2 — evaluation of admitted requests on the worker pool.
         let admitted: Vec<usize> = (0..requests.len()).filter(|&i| outcomes[i].is_none()).collect();
-        let mut served: Vec<Option<Result<Served, ServeError>>> = vec![None; admitted.len()];
-        let threads = self
-            .config
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(4, |p| p.get()))
-            .max(1);
-        let chunk_size = admitted.len().div_ceil(threads).max(1);
-        let state = &pin.state;
-        std::thread::scope(|scope| {
-            for (chunk, out) in admitted.chunks(chunk_size).zip(served.chunks_mut(chunk_size)) {
-                scope.spawn(move || {
-                    for (slot, &index) in out.iter_mut().zip(chunk) {
-                        *slot = Some(state.evaluate(&requests[index], index, seed));
-                    }
-                });
-            }
+        let served = map_chunked(self.config.threads, admitted.len(), |i| {
+            let index = admitted[i];
+            pin.state.evaluate(&requests[index], index, seed)
         });
-
         for (&index, outcome) in admitted.iter().zip(served) {
-            outcomes[index] = outcome;
+            outcomes[index] = Some(outcome);
         }
         outcomes.into_iter().map(|o| o.expect("every request evaluated")).collect()
     }
@@ -841,6 +830,33 @@ mod tests {
         let one = service(ServiceConfig { threads: Some(1), ..Default::default() });
         let eight = service(ServiceConfig { threads: Some(8), ..Default::default() });
         assert_eq!(one.serve_batch(&batch, 99), eight.serve_batch(&batch, 99));
+
+        // Small batches on both sides of the one-chunk (calling-thread)
+        // boundary, each with a trailing request the budget refuses.
+        for size in [1usize, 2, 9] {
+            let mut batch: Vec<BatchRequest> =
+                (0..size as NodeId).map(|target| BatchRequest { target, k: 2 }).collect();
+            batch.push(BatchRequest { target: 0, k: 2 });
+            let serve = |threads| {
+                service(ServiceConfig {
+                    threads: Some(threads),
+                    epsilon_per_request: 1.0,
+                    budget_per_target: 1.0,
+                    ..Default::default()
+                })
+                .serve_batch(&batch, 99)
+            };
+            let reference = serve(1);
+            assert!(reference[..size].iter().all(Result::is_ok), "size {size}");
+            assert!(
+                matches!(reference[size], Err(ServeError::BudgetExhausted { target: 0, .. })),
+                "size {size}: {:?}",
+                reference[size]
+            );
+            for threads in [2, 8] {
+                assert_eq!(serve(threads), reference, "size {size}, {threads} threads");
+            }
+        }
     }
 
     #[test]
