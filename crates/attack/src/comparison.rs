@@ -23,7 +23,9 @@
 //!   `ε ≥ node_privacy_eps_lower(n, β)` (asymptotically `ln(n)/2`).
 //!   [`compare_node`] overlays a node-identity measurement on those
 //!   floors next to the Lemma-1 curves, with the Corollary-1 accuracy
-//!   floor evaluated at `t = t_node_privacy()`.
+//!   floor evaluated at `t = t_node_privacy()`. Its verdict is judged
+//!   against the node-level budget: worlds a rewire of `m` edges apart
+//!   are only `m·ε`-indistinguishable by group privacy.
 
 use serde::{Deserialize, Serialize};
 
@@ -123,9 +125,10 @@ pub struct BoundsComparison {
     pub adversary: String,
     /// Which adjacency notion the scenario plays: `"edge"` or `"node"`.
     pub adjacency: String,
-    /// Transcript-level ε budget of the scenario (`None` for the
-    /// non-private baseline): per-request ε summed over every observation
-    /// of a transcript by basic composition.
+    /// Transcript-level ε budget the verdict is judged against (`None`
+    /// for the non-private baseline): per-request ε summed over every
+    /// observation of a transcript by basic composition, and for node
+    /// adjacency scaled by the rewire size (group privacy).
     pub configured_epsilon: Option<f64>,
     /// Lemma-1 advantage ceiling at the configured ε (1.0 when
     /// non-private).
@@ -159,6 +162,10 @@ pub struct BoundsComparison {
     /// the configured budget allows. Always `true` for the non-private
     /// baseline (nothing was promised).
     pub consistent: bool,
+    /// The same verdict against the edge-composed transcript budget.
+    /// Equals [`Self::consistent`] for edge adjacency; for node adjacency
+    /// it is the stricter reading that leaves group privacy out.
+    pub edge_budget_consistent: bool,
 }
 
 /// Overlays an [`AttackResult`] on the theoretical curves.
@@ -173,7 +180,14 @@ pub fn compare(
     configured_epsilon: Option<f64>,
     representative: Option<&UtilityVector>,
 ) -> BoundsComparison {
-    compare_adjacency(result, configured_epsilon, representative, Adjacency::Edge, None)
+    compare_adjacency(
+        result,
+        configured_epsilon,
+        configured_epsilon,
+        representative,
+        Adjacency::Edge,
+        None,
+    )
 }
 
 /// Overlays a node-identity [`AttackResult`] on the theoretical curves:
@@ -181,18 +195,31 @@ pub fn compare(
 /// floors at the scenario's graph size (`β = 1`, the concentrated-utility
 /// worst case), with the Corollary-1 accuracy floor evaluated at
 /// `t = t_node_privacy()`.
+///
+/// `node_epsilon` is the node-level transcript budget the verdict and
+/// the advantage ceiling are judged against; `edge_epsilon` is the
+/// edge-composed budget behind [`BoundsComparison::edge_budget_consistent`].
 pub fn compare_node(
     result: &AttackResult,
-    configured_epsilon: Option<f64>,
+    node_epsilon: Option<f64>,
+    edge_epsilon: Option<f64>,
     representative: Option<&UtilityVector>,
     num_nodes: usize,
 ) -> BoundsComparison {
-    compare_adjacency(result, configured_epsilon, representative, Adjacency::Node, Some(num_nodes))
+    compare_adjacency(
+        result,
+        node_epsilon,
+        edge_epsilon,
+        representative,
+        Adjacency::Node,
+        Some(num_nodes),
+    )
 }
 
 fn compare_adjacency(
     result: &AttackResult,
     configured_epsilon: Option<f64>,
+    edge_epsilon: Option<f64>,
     representative: Option<&UtilityVector>,
     adjacency: Adjacency,
     num_nodes: Option<usize>,
@@ -215,10 +242,8 @@ fn compare_adjacency(
     // Statistical slack on the consistency verdict: the CP lower bound is
     // conservative by construction, so it is compared exactly; the raw
     // advantage gets the ceiling check only through its own ε floor.
-    let consistent = match configured_epsilon {
-        None => true,
-        Some(eps) => result.empirical_epsilon.lower <= eps,
-    };
+    let within =
+        |budget: Option<f64>| budget.map_or(true, |eps| result.empirical_epsilon.lower <= eps);
     BoundsComparison {
         adversary: result.adversary.clone(),
         adjacency: adjacency.name().to_owned(),
@@ -232,7 +257,8 @@ fn compare_adjacency(
         accuracy_epsilon_floor,
         node_epsilon_lower,
         node_epsilon_lower_asymptotic,
-        consistent,
+        consistent: within(configured_epsilon),
+        edge_budget_consistent: within(edge_epsilon),
     }
 }
 
@@ -302,7 +328,7 @@ mod tests {
         let edge = compare(&result, None, Some(&u));
         assert_eq!(edge.adjacency, "edge");
         assert_eq!(edge.node_epsilon_lower, None);
-        let node = compare_node(&result, None, Some(&u), 7_115);
+        let node = compare_node(&result, None, None, Some(&u), 7_115);
         assert_eq!(node.adjacency, "node");
         let n = 7_115usize;
         assert_eq!(
@@ -315,6 +341,39 @@ mod tests {
         let (ef, nf) = (edge.accuracy_epsilon_floor.unwrap(), node.accuracy_epsilon_floor.unwrap());
         assert!(nf < ef, "t = 2 floor {nf} must sit below the t = 1 floor {ef}");
         assert!(nf > 0.0);
+    }
+
+    #[test]
+    fn node_verdict_is_judged_against_the_node_budget() {
+        use crate::roc::{empirical_epsilon, roc_curve};
+        // Perfectly separated worlds: the certified ε̂ lower bound is
+        // finite and positive at 64 trials per world.
+        let s0: Vec<f64> = (0..64).map(f64::from).collect();
+        let s1: Vec<f64> = (64..128).map(f64::from).collect();
+        let result = crate::harness::AttackResult {
+            adversary: "reconstruction".to_owned(),
+            roc: roc_curve(&s0, &s1),
+            auc: crate::roc::auc(&s0, &s1),
+            advantage: crate::roc::best_advantage(&s0, &s1),
+            empirical_epsilon: empirical_epsilon(&s0, &s1, 0.95),
+            mean_accuracy: None,
+            scores_world0: s0,
+            scores_world1: s1,
+        };
+        let lower = result.empirical_epsilon.lower;
+        assert!(lower > 0.0 && lower.is_finite(), "lower bound {lower}");
+        // An ε̂ lower bound between the edge budget and the node budget
+        // (edge budget × a rewire of 8 edges).
+        let edge_budget = lower / 2.0;
+        let node_budget = edge_budget * 8.0;
+        let node = compare_node(&result, Some(node_budget), Some(edge_budget), None, 34);
+        assert!(node.consistent, "within the group-privacy budget {node_budget}");
+        assert!(!node.edge_budget_consistent, "over the edge budget {edge_budget}");
+        assert_eq!(node.configured_epsilon, Some(node_budget));
+        assert_eq!(node.advantage_ceiling, dp_advantage_ceiling(node_budget));
+        // Edge adjacency has one budget and one verdict.
+        let edge = compare(&result, Some(edge_budget), None);
+        assert!(!edge.consistent && !edge.edge_budget_consistent);
     }
 
     #[test]

@@ -854,6 +854,28 @@ pub fn leaking_secret_edge(
     None
 }
 
+/// Scan budget of the default target searches ([`resolve_secret_edge`],
+/// [`crate::resolve_node_rewire`]) in toggled-graph evaluations: karate
+/// needs a handful, preset graphs get a bounded prefix scan.
+pub(crate) const SEARCH_BUDGET: usize = 4_000;
+
+/// The default secret edge of an edge-adjacency attack: the first pair
+/// [`leaking_secret_edge`] finds within the search budget, else
+/// [`default_secret_edge`] with its [`default_observers`]. `None` when
+/// neither yields a pair with at least one observer. Depends only on
+/// `(graph, utility, observer_cap)`.
+pub fn resolve_secret_edge(
+    graph: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+    observer_cap: usize,
+) -> Option<((NodeId, NodeId), Vec<NodeId>)> {
+    leaking_secret_edge(graph, utility, observer_cap, SEARCH_BUDGET).or_else(|| {
+        let secret = default_secret_edge(graph)?;
+        let observers = default_observers(graph, secret, observer_cap);
+        (!observers.is_empty()).then_some((secret, observers))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,13 +79,14 @@ pub use comparison::{
     lemma1_epsilon_floor_from_accuracy, Adjacency, BoundsComparison,
 };
 pub use harness::{
-    default_observers, default_secret_edge, leaking_secret_edge, AttackMechanism, AttackResult,
-    EdgeInferenceScenario, EpochStyle, ScenarioConfig, TranscriptSet, NON_PRIVATE_EPSILON,
+    default_observers, default_secret_edge, leaking_secret_edge, resolve_secret_edge,
+    AttackMechanism, AttackResult, EdgeInferenceScenario, EpochStyle, ScenarioConfig,
+    TranscriptSet, NON_PRIVATE_EPSILON,
 };
 pub use model::{MechanismModel, ObservationModel, WorldModel};
 pub use node::{
-    default_rewire_target, leaking_node_rewire, node_observers, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig,
+    default_rewire_target, leaking_node_rewire, node_observers, resolve_node_rewire,
+    NodeEpochStyle, NodeIdentityScenario, NodeScenarioConfig,
 };
 pub use roc::{
     auc, best_advantage, clopper_pearson, empirical_epsilon, roc_curve, Advantage,

@@ -261,14 +261,16 @@ impl NodeIdentityScenario {
     }
 
     /// Overlays a result on the node-adjacency theory curves
-    /// ([`crate::comparison::compare_node`]): Lemma-1 ceilings at the
-    /// edge-composed budget, Corollary-1 accuracy floors at
+    /// ([`crate::comparison::compare_node`]): the verdict and the Lemma-1
+    /// ceiling at the honest [`Self::node_transcript_epsilon`] (the
+    /// edge-composed verdict rides along), Corollary-1 accuracy floors at
     /// `t = t_node_privacy()`, and the Appendix-A node-privacy floors
     /// `node_privacy_eps_lower(n, 1)` / `ln(n)/2` next to the measured
     /// advantage and certified ε̂.
     pub fn compare(&self, result: &AttackResult) -> crate::comparison::BoundsComparison {
         crate::comparison::compare_node(
             result,
+            self.node_transcript_epsilon(),
             self.transcript_epsilon(),
             Some(self.engine.representative_utilities()),
             self.engine.base().num_nodes(),
@@ -413,6 +415,17 @@ pub fn leaking_node_rewire(
         }
     }
     None
+}
+
+/// The default rewire of a node-adjacency attack: the first rewire
+/// [`leaking_node_rewire`] finds within the search budget shared with
+/// [`crate::resolve_secret_edge`] (`None` when nothing leaks).
+pub fn resolve_node_rewire(
+    graph: &Arc<Graph>,
+    utility: &dyn UtilityFunction,
+    observer_cap: usize,
+) -> Option<(NodeId, Vec<NodeId>, Vec<NodeId>)> {
+    leaking_node_rewire(graph, utility, observer_cap, crate::harness::SEARCH_BUDGET)
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    default_rewire_target, default_secret_edge, leaking_node_rewire, leaking_secret_edge,
-    node_observers, Adversary, AttackMechanism, AttackResult, BoundsComparison,
-    EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary, RocPoint, ScenarioConfig,
+    default_rewire_target, node_observers, resolve_node_rewire, resolve_secret_edge, Adversary,
+    AttackMechanism, AttackResult, BoundsComparison, EdgeInferenceScenario, EpochStyle,
+    FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle, NodeIdentityScenario,
+    NodeScenarioConfig, ReconstructionAdversary, RocPoint, ScenarioConfig,
 };
 use psr_graph::io::IdMap;
 use psr_graph::{Graph, GraphView, NodeId};
@@ -64,8 +64,11 @@ struct AdversaryRecord {
     /// Corollary-1 ε floor implied by the measured accuracy (at the
     /// adjacency's edit distance: t = 1 for edge, t = 2 for node).
     accuracy_epsilon_floor: Option<f64>,
-    /// Whether the measurement is consistent with the configured budget.
+    /// Whether the measurement is consistent with the configured budget
+    /// (for node adjacency the node-level budget, by group privacy).
     consistent: bool,
+    /// Whether it is consistent with the edge-composed transcript budget.
+    edge_budget_consistent: bool,
     roc: Vec<RocPoint>,
 }
 
@@ -84,6 +87,7 @@ impl AdversaryRecord {
             mean_accuracy: comparison.mean_accuracy,
             accuracy_epsilon_floor: comparison.accuracy_epsilon_floor,
             consistent: comparison.consistent,
+            edge_budget_consistent: comparison.edge_budget_consistent,
             roc: result.roc.clone(),
         }
     }
@@ -166,11 +170,6 @@ fn round_trip_compressed(graph: &Graph) -> Graph {
         .expect("a freshly encoded snapshot always validates")
         .to_graph()
 }
-
-/// Scan budget for the default secret-edge / leaking-rewire search
-/// (toggled-graph evaluations; karate needs a handful, preset graphs get
-/// a bounded prefix scan before falling back to the structural default).
-const SEARCH_BUDGET: usize = 4_000;
 
 fn parse_utility(opts: &AttackOptions) -> Box<dyn UtilityFunction> {
     match opts.utility.as_str() {
@@ -282,12 +281,7 @@ fn run_edge(opts: &AttackOptions) {
             }
             (edge, observers)
         }
-        None => leaking_secret_edge(&graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
-            .or_else(|| {
-                let secret = default_secret_edge(&graph)?;
-                let observers = psr_attack::default_observers(&graph, secret, opts.observer_cap);
-                (!observers.is_empty()).then_some((secret, observers))
-            })
+        None => resolve_secret_edge(&graph, utility.as_ref(), opts.observer_cap)
             .unwrap_or_else(|| panic!("no suitable secret edge found; pass --edge u,v")),
     };
 
@@ -385,7 +379,7 @@ fn run_node(opts: &AttackOptions) {
             }
             (v, new, observers)
         }
-        None => leaking_node_rewire(&graph, utility.as_ref(), opts.observer_cap, SEARCH_BUDGET)
+        None => resolve_node_rewire(&graph, utility.as_ref(), opts.observer_cap)
             .unwrap_or_else(|| panic!("no leaking node rewire found; pass --node v")),
     };
 

@@ -24,23 +24,18 @@
 use std::sync::Arc;
 
 use psr_attack::{
-    clopper_pearson, default_observers, default_secret_edge, leaking_node_rewire,
-    leaking_secret_edge, Adversary, AttackMechanism, AttackResult, BoundsComparison,
-    EdgeInferenceScenario, EpochStyle, FrequencyBaseline, LikelihoodRatioMia, NodeEpochStyle,
-    NodeIdentityScenario, NodeScenarioConfig, ReconstructionAdversary, ScenarioConfig,
-    TranscriptSet, WorldModel,
+    clopper_pearson, resolve_node_rewire, resolve_secret_edge, Adversary, AttackMechanism,
+    AttackResult, BoundsComparison, EdgeInferenceScenario, EpochStyle, FrequencyBaseline,
+    LikelihoodRatioMia, NodeEpochStyle, NodeIdentityScenario, NodeScenarioConfig,
+    ReconstructionAdversary, ScenarioConfig, TranscriptSet, WorldModel,
 };
 use psr_gen::split_seed;
-use psr_graph::Graph;
+use psr_graph::{Graph, NodeId};
 use psr_privacy::TopKEngine;
 use psr_utility::{CommonNeighbors, UtilityFunction, UtilityVector, WeightedPaths};
 use serde::{Deserialize, Serialize};
 
 use crate::plan::ExperimentPlan;
-
-/// Scan budget for the leaking secret-edge / node-rewire search, shared
-/// with `psr attack`'s default.
-const SEARCH_BUDGET: usize = 4_000;
 
 /// Seed-stream tag for per-cell derivation (`split_seed(plan.seed, TAG ^
 /// index)`): cells draw independent, index-stable streams no matter
@@ -101,8 +96,13 @@ pub struct AdversaryCell {
     /// Smallest ε consistent with the measured advantage (`None` when the
     /// advantage pins ε to ∞, i.e. a perfect separator).
     pub epsilon_floor: Option<f64>,
-    /// Whether the measurement is consistent with the configured budget.
+    /// Whether the measurement is consistent with the cell's budget: the
+    /// transcript budget for edge cells, the node-level budget (group
+    /// privacy) for node cells.
     pub consistent: bool,
+    /// Whether the measurement is consistent with the edge-composed
+    /// transcript budget (equals `consistent` for edge cells).
+    pub edge_budget_consistent: bool,
 }
 
 /// A fully-measured cell: spec echo, theory overlay, achieved accuracy
@@ -122,7 +122,8 @@ pub struct CellResult {
     /// the adjacency's edit distance (1.0 when the theory is vacuous:
     /// non-private, smoothing, or an all-zero utility vector).
     pub accuracy_bound: f64,
-    /// Lemma-1 advantage ceiling at the transcript budget.
+    /// Lemma-1 advantage ceiling at the cell's budget (the node-level
+    /// budget for node cells).
     pub advantage_ceiling: f64,
     /// Appendix A's finite-`n` node-privacy ε floor (node adjacency only).
     pub node_epsilon_lower: Option<f64>,
@@ -236,11 +237,62 @@ fn adversary_cell(
         empirical_epsilon_lower: result.empirical_epsilon.lower,
         epsilon_floor: finite(comparison.epsilon_floor),
         consistent: comparison.consistent,
+        edge_budget_consistent: comparison.edge_budget_consistent,
     }
 }
 
-/// Executes one cell against its (already loaded) graph. Deterministic
-/// in `(plan, spec)` alone: the scenario runs single-threaded on a seed
+/// What a cell attacks: the difference between its two worlds and the
+/// observers who watch it. It depends only on the graph, the utility and
+/// the plan's observer cap, so every cell of one (dataset, utility,
+/// adjacency) shares it and a sweep resolves it once ([`crate::sweep`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttackTarget {
+    /// Edge adjacency: the worlds differ in one secret edge.
+    Edge {
+        /// The secret edge (absent from the base graph).
+        secret: (NodeId, NodeId),
+        /// Third parties whose recommendations are watched.
+        observers: Vec<NodeId>,
+    },
+    /// Node adjacency: the worlds differ in one node's whole
+    /// neighbourhood.
+    Node {
+        /// The rewired node.
+        node: NodeId,
+        /// World 1's replacement neighbourhood.
+        new_neighbours: Vec<NodeId>,
+        /// Third parties whose recommendations are watched.
+        observers: Vec<NodeId>,
+    },
+}
+
+/// Resolves the attack target of a cell's (dataset, utility, adjacency)
+/// through psr-attack's default searches: for edges the leaking search
+/// with its structural fallback, for nodes the leaking rewire. `None`
+/// when the graph offers no target; [`run_cell_on`] fails the cell then.
+pub fn resolve_target(
+    plan: &ExperimentPlan,
+    spec: &CellSpec,
+    graph: &Arc<Graph>,
+) -> Option<AttackTarget> {
+    let utility = parse_utility(plan, spec);
+    match spec.adjacency.as_str() {
+        "edge" => resolve_secret_edge(graph, utility.as_ref(), plan.observer_cap)
+            .map(|(secret, observers)| AttackTarget::Edge { secret, observers }),
+        "node" => resolve_node_rewire(graph, utility.as_ref(), plan.observer_cap).map(
+            |(node, new_neighbours, observers)| AttackTarget::Node {
+                node,
+                new_neighbours,
+                observers,
+            },
+        ),
+        other => unreachable!("validated plans admit only known adjacencies, got {other}"),
+    }
+}
+
+/// Executes one cell against its (already loaded) graph: resolves the
+/// cell's [`AttackTarget`], then runs [`run_cell_on`]. Deterministic in
+/// `(plan, spec)` alone: the scenario runs single-threaded on a seed
 /// stream split from the plan seed and the cell index, so results do not
 /// depend on which worker runs the cell or how many workers exist.
 pub fn run_cell(
@@ -248,24 +300,25 @@ pub fn run_cell(
     spec: &CellSpec,
     graph: &Arc<Graph>,
 ) -> Result<CellResult, String> {
+    run_cell_on(plan, spec, graph, resolve_target(plan, spec, graph).as_ref())
+}
+
+/// Executes one cell on the target [`resolve_target`] gave for it
+/// (`None` fails the cell).
+pub fn run_cell_on(
+    plan: &ExperimentPlan,
+    spec: &CellSpec,
+    graph: &Arc<Graph>,
+    target: Option<&AttackTarget>,
+) -> Result<CellResult, String> {
     let dataset = plan.datasets[spec.dataset].label();
     let seed = split_seed(plan.seed, CELL_SEED_TAG ^ spec.index as u64);
     let utility = parse_utility(plan, spec);
     let mechanism = parse_mechanism(plan, spec);
     let engine = parse_engine(spec);
 
-    match spec.adjacency.as_str() {
-        "edge" => {
-            let (secret, observers) =
-                leaking_secret_edge(graph, utility.as_ref(), plan.observer_cap, SEARCH_BUDGET)
-                    .or_else(|| {
-                        let secret = default_secret_edge(graph)?;
-                        let observers = default_observers(graph, secret, plan.observer_cap);
-                        (!observers.is_empty()).then_some((secret, observers))
-                    })
-                    .ok_or_else(|| {
-                        format!("cell {}: no suitable secret edge on {dataset}", spec.index)
-                    })?;
+    match target {
+        Some(AttackTarget::Edge { secret, observers }) => {
             let config = ScenarioConfig {
                 rounds: plan.rounds,
                 k: plan.k,
@@ -276,7 +329,7 @@ pub fn run_cell(
                 threads: Some(1),
                 seed,
                 confidence: plan.confidence,
-                ..ScenarioConfig::new(secret, observers)
+                ..ScenarioConfig::new(*secret, observers.clone())
             };
             let scenario = EdgeInferenceScenario::new(Arc::clone(graph), utility, config);
             let set = scenario.collect();
@@ -299,12 +352,7 @@ pub fn run_cell(
                 evaluated,
             ))
         }
-        "node" => {
-            let (node, new_neighbours, observers) =
-                leaking_node_rewire(graph, utility.as_ref(), plan.observer_cap, SEARCH_BUDGET)
-                    .ok_or_else(|| {
-                        format!("cell {}: no leaking node rewire on {dataset}", spec.index)
-                    })?;
+        Some(AttackTarget::Node { node, new_neighbours, observers }) => {
             let config = NodeScenarioConfig {
                 rounds: plan.rounds,
                 k: plan.k,
@@ -315,7 +363,7 @@ pub fn run_cell(
                 threads: Some(1),
                 seed,
                 confidence: plan.confidence,
-                ..NodeScenarioConfig::new(node, new_neighbours, observers)
+                ..NodeScenarioConfig::new(*node, new_neighbours.clone(), observers.clone())
             };
             let scenario = NodeIdentityScenario::new(Arc::clone(graph), utility, config);
             let set = scenario.collect();
@@ -338,13 +386,16 @@ pub fn run_cell(
                 evaluated,
             ))
         }
-        other => unreachable!("validated plans admit only known adjacencies, got {other}"),
+        None if spec.adjacency == "node" => {
+            Err(format!("cell {}: no leaking node rewire on {dataset}", spec.index))
+        }
+        None => Err(format!("cell {}: no suitable secret edge on {dataset}", spec.index)),
     }
 }
 
 /// Runs the full adversary panel through an `attack`+`compare` closure.
 fn evaluate_adversaries(
-    probe: psr_graph::NodeId,
+    probe: NodeId,
     seed: u64,
     mut evaluate: impl FnMut(&dyn Adversary) -> (AttackResult, BoundsComparison),
 ) -> Vec<(AttackResult, BoundsComparison)> {
@@ -460,6 +511,22 @@ mod tests {
         assert!(cell.node_transcript_epsilon.is_some());
         assert!(cell.node_epsilon_lower.is_some());
         assert!(cell.node_epsilon_lower_asymptotic.is_some());
+    }
+
+    #[test]
+    fn node_cell_verdicts_answer_to_both_budgets() {
+        let plan = ExperimentPlan::toy();
+        let graph = Arc::new(karate_club());
+        let spec = toy_cell("exponential", Some(2.0), "node");
+        let cell = run_cell(&plan, &spec, &graph).unwrap();
+        let node_budget = cell.node_transcript_epsilon.unwrap();
+        let edge_budget = cell.transcript_epsilon.unwrap();
+        assert!(node_budget > edge_budget);
+        assert_eq!(cell.advantage_ceiling, psr_attack::dp_advantage_ceiling(node_budget));
+        for adv in &cell.adversaries {
+            assert_eq!(adv.consistent, adv.empirical_epsilon_lower <= node_budget);
+            assert_eq!(adv.edge_budget_consistent, adv.empirical_epsilon_lower <= edge_budget);
+        }
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //! * [`run_sweep`] expands the grid into independent [`CellSpec`]s and
 //!   fans them across a worker pool — per-cell deterministic seed
 //!   streams make results thread-count-invariant ([`sweep`]),
+//! * each (dataset, utility, adjacency) [`AttackTarget`] — the secret
+//!   edge or rewired node a cell attacks — is resolved once per sweep,
+//!   ahead of the cells, and only when a pending cell needs it
+//!   ([`sweep`]); [`run_cell`] resolves its own for one-off cells,
 //! * each cell executes through the real attack harness (and therefore
 //!   the real [`psr_core::serving::RecommendationService`]), measuring
 //!   the theoretical bounds, the achieved accuracy and the empirical ε̂
@@ -40,7 +44,10 @@ pub mod plan;
 pub mod report;
 pub mod sweep;
 
-pub use cell::{run_cell, AdversaryCell, CellResult, CellSpec, Interval};
+pub use cell::{
+    resolve_target, run_cell, run_cell_on, AdversaryCell, AttackTarget, CellResult, CellSpec,
+    Interval,
+};
 pub use journal::ResultsJournal;
 pub use plan::{DatasetSpec, ExperimentPlan};
 pub use report::{FrontierReport, Recommendation};

@@ -11,17 +11,30 @@
 //! only what never hit the journal, and the assembled report is
 //! bit-identical to an uninterrupted run because cells are ordered by
 //! index, not by completion time.
+//!
+//! A cell runs in two steps: resolve its [`AttackTarget`] (the secret
+//! edge or rewired node plus observers), then run the scenario on it.
+//! The target depends only on the (dataset, utility, adjacency), and on
+//! a preset graph its search can take longer than the cell it serves.
+//! So each invocation resolves every target some *pending* cell needs
+//! exactly once, and only those: a resume whose edge cells are all
+//! journalled never searches for an edge. The resolves are the first
+//! items on the workers' shared counter, ahead of the cells, so one
+//! worker searches while the others run cells of targets already
+//! settled; a cell whose target is still being resolved waits on its
+//! [`OnceLock`]. The targets are the ones [`crate::run_cell`] would
+//! resolve per cell, so the results are the same bytes either way.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig};
 use psr_graph::{CompressedCsr, Direction, Graph};
 use psr_obs::{fields, Telemetry};
 
-use crate::cell::{run_cell, CellResult, CellSpec};
+use crate::cell::{resolve_target, run_cell_on, AttackTarget, CellResult, CellSpec};
 use crate::journal::ResultsJournal;
 use crate::plan::{DatasetSpec, ExperimentPlan};
 
@@ -152,7 +165,28 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
         }
     }
 
-    // Fan out: workers pull cells off a shared counter; each finished
+    // One attack target per (dataset, utility, adjacency) a pending cell
+    // needs, each resolved by the first pending cell that names it.
+    let mut resolvers: Vec<&CellSpec> = Vec::new();
+    let target_of: Vec<usize> = pending
+        .iter()
+        .map(|&cell| {
+            let key = (cell.dataset, &cell.utility, &cell.adjacency);
+            resolvers
+                .iter()
+                .position(|r| (r.dataset, &r.utility, &r.adjacency) == key)
+                .unwrap_or_else(|| {
+                    resolvers.push(cell);
+                    resolvers.len() - 1
+                })
+        })
+        .collect();
+    let targets: Vec<OnceLock<Option<AttackTarget>>> =
+        resolvers.iter().map(|_| OnceLock::new()).collect();
+
+    // Fan out: workers pull work off a shared counter, the target
+    // resolves first and then the cells, so one worker searches while
+    // the others run cells that do not wait on its target. Each finished
     // cell is journalled under the lock before being recorded. Slots are
     // preassigned by index, so completion order is irrelevant.
     let threads = opts
@@ -173,16 +207,34 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
             let (telemetry, completed, finished_workers) =
                 (&telemetry, &completed, &finished_workers);
             let (next, sink, errors, pending, graphs) = (&next, &sink, &errors, &pending, &graphs);
+            let (resolvers, targets, target_of) = (&resolvers, &targets, &target_of);
+            // Blocks while another worker resolves the same target.
+            let target = move |t: usize| {
+                targets[t].get_or_init(|| {
+                    if telemetry.is_enabled() {
+                        telemetry.metrics().counter("frontier.targets_resolved").inc();
+                    }
+                    let spec = resolvers[t];
+                    let graph = graphs[spec.dataset].as_ref().expect("dataset preloaded");
+                    resolve_target(plan, spec, graph)
+                })
+            };
             scope.spawn(move || {
                 loop {
                     let slot = next.fetch_add(1, Ordering::Relaxed);
+                    if slot < resolvers.len() {
+                        target(slot);
+                        continue;
+                    }
+                    let slot = slot - resolvers.len();
                     let Some(spec) = pending.get(slot) else { break };
                     let graph = graphs[spec.dataset].as_ref().expect("dataset preloaded");
+                    let target = target(target_of[slot]).as_ref();
                     let trace = telemetry.trace();
                     if trace.is_enabled() {
                         trace.event("frontier.cell.start", fields!["index" => spec.index]);
                     }
-                    match run_cell(plan, spec, graph) {
+                    match run_cell_on(plan, spec, graph, target) {
                         Ok(cell) => {
                             let mut sink = sink.lock().expect("sweep sink");
                             if let Some(journal) = sink.0.as_mut() {
@@ -264,6 +316,7 @@ pub fn run_sweep(plan: &ExperimentPlan, opts: &SweepOptions) -> Result<SweepOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::run_cell;
     use std::sync::atomic::AtomicU64;
 
     fn scratch_path(tag: &str) -> PathBuf {
@@ -341,6 +394,116 @@ mod tests {
         assert_eq!(third.computed, 0);
         assert_eq!(third.resumed, third.total);
         assert_eq!(third.results, uninterrupted.results);
+    }
+
+    /// The toy plan over both utilities and both adjacencies: four
+    /// attack targets on one dataset, three cells each.
+    fn two_adjacency_plan() -> ExperimentPlan {
+        ExperimentPlan {
+            utilities: vec!["common-neighbors".to_owned(), "weighted-paths".to_owned()],
+            adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+            ..ExperimentPlan::toy()
+        }
+    }
+
+    fn targets_resolved(telemetry: &Telemetry) -> u64 {
+        telemetry.metrics().counter("frontier.targets_resolved").get()
+    }
+
+    #[test]
+    fn each_target_is_resolved_once_per_sweep() {
+        let plan = two_adjacency_plan();
+        let telemetry = Telemetry::enabled();
+        let opts = SweepOptions {
+            threads: Some(2),
+            telemetry: Some(telemetry.clone()),
+            ..Default::default()
+        };
+        let outcome = run_sweep(&plan, &opts).unwrap();
+        assert!(outcome.complete);
+        let mut keys: Vec<_> =
+            plan.expand().into_iter().map(|c| (c.dataset, c.utility, c.adjacency)).collect();
+        keys.dedup();
+        assert_eq!(keys.len(), 4);
+        assert_eq!(targets_resolved(&telemetry), keys.len() as u64);
+    }
+
+    #[test]
+    fn resumed_sweep_resolves_only_the_targets_pending_cells_need() {
+        let plan = ExperimentPlan {
+            adjacencies: vec!["edge".to_owned(), "node".to_owned()],
+            ..ExperimentPlan::toy()
+        };
+        let edge_cells = plan.expand().iter().filter(|c| c.adjacency == "edge").count();
+        let path = scratch_path("targets");
+        let _cleanup = Cleanup(path.clone());
+        let run = |max_cells| {
+            let telemetry = Telemetry::enabled();
+            let opts = SweepOptions {
+                threads: Some(2),
+                journal: Some(path.clone()),
+                max_cells,
+                telemetry: Some(telemetry.clone()),
+                ..Default::default()
+            };
+            (run_sweep(&plan, &opts).unwrap(), targets_resolved(&telemetry))
+        };
+
+        // Expansion puts every edge cell first: the "killed" run journals
+        // exactly them and resolves only the edge target.
+        let (first, resolved) = run(Some(edge_cells));
+        assert_eq!(first.computed, edge_cells);
+        assert!(first.results.iter().all(|c| c.spec.adjacency == "edge"));
+        assert_eq!(resolved, 1);
+
+        // The resume has only node cells pending: no edge search.
+        let (second, resolved) = run(None);
+        assert!(second.complete);
+        assert_eq!(second.resumed, edge_cells);
+        assert_eq!(resolved, 1, "only the node target is resolved");
+
+        // Nothing pending, nothing resolved.
+        let (third, resolved) = run(None);
+        assert_eq!(third.computed, 0);
+        assert_eq!(resolved, 0);
+    }
+
+    #[test]
+    fn shared_targets_give_the_per_cell_results_at_any_worker_count() {
+        let plan = two_adjacency_plan();
+        let graph = Arc::new(load_dataset(&plan.datasets[0], plan.seed).unwrap());
+        let per_cell: Vec<CellResult> =
+            plan.expand().iter().map(|spec| run_cell(&plan, spec, &graph).unwrap()).collect();
+        for threads in [1, 2, 4] {
+            let opts = SweepOptions { threads: Some(threads), ..Default::default() };
+            let outcome = run_sweep(&plan, &opts).unwrap();
+            assert_eq!(outcome.results, per_cell, "{threads} workers");
+        }
+    }
+
+    #[test]
+    fn a_dataset_without_a_secret_edge_fails_each_cell_as_before() {
+        // K4 has no absent pair at all, so neither the leaking search nor
+        // the structural default finds a secret edge.
+        let path = scratch_path("k4");
+        let _cleanup = Cleanup(path.clone());
+        std::fs::write(&path, "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n").unwrap();
+        let plan = ExperimentPlan {
+            datasets: vec![DatasetSpec {
+                input: Some(path.to_string_lossy().into_owned()),
+                ..DatasetSpec::karate()
+            }],
+            ..ExperimentPlan::toy()
+        };
+        let label = plan.datasets[0].label();
+        let err =
+            run_sweep(&plan, &SweepOptions { threads: Some(1), ..Default::default() }).unwrap_err();
+        assert_eq!(err, format!("cell 0: no suitable secret edge on {label}"));
+        let graph = Arc::new(load_dataset(&plan.datasets[0], plan.seed).unwrap());
+        for spec in plan.expand() {
+            let direct = run_cell(&plan, &spec, &graph).unwrap_err();
+            assert_eq!(direct, format!("cell {}: no suitable secret edge on {label}", spec.index));
+        }
     }
 
     #[test]

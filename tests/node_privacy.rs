@@ -149,6 +149,7 @@ fn every_dp_mechanism_stays_within_its_budget_under_node_adjacency() {
             );
             let comparison = s.compare(&result);
             assert!(comparison.consistent, "{} vs {mechanism:?}", adversary.name());
+            assert!(comparison.edge_budget_consistent, "{} vs {mechanism:?}", adversary.name());
         }
     }
 }
