@@ -35,7 +35,7 @@ use psr_core::parallel::map_chunked;
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
 use psr_gen::seed::split_seed;
 use psr_graph::{DeltaGraph, EdgeMutation, Graph, GraphView, NodeId};
-use psr_privacy::{LinearSmoothing, ServeMechanism, TopKEngine};
+use psr_privacy::{LinearSmoothing, ServeMechanism};
 use psr_utility::{
     calibrated_sensitivity, CandidateSet, Sensitivity, SensitivityNorm, UtilityFunction,
     UtilityVector,
@@ -155,11 +155,6 @@ pub struct ScenarioConfig {
     pub sensitivity_norm: SensitivityNorm,
     /// Δf override when the utility reports no analytic bound.
     pub sensitivity_override: Option<f64>,
-    /// Which top-`k` sampler the attacked service runs. The engines are
-    /// distributionally identical, so the likelihood models (and the
-    /// transcript ε accounting) hold for either; attacking both is how
-    /// the equivalence is measured end to end.
-    pub engine: TopKEngine,
 }
 
 impl ScenarioConfig {
@@ -179,7 +174,6 @@ impl ScenarioConfig {
             confidence: 0.95,
             sensitivity_norm: SensitivityNorm::LInf,
             sensitivity_override: None,
-            engine: TopKEngine::default(),
         }
     }
 }
@@ -247,7 +241,6 @@ pub(crate) struct EngineParams {
     pub confidence: f64,
     pub sensitivity_norm: SensitivityNorm,
     pub sensitivity_override: Option<f64>,
-    pub engine: TopKEngine,
 }
 
 /// The generic two-world trial driver: world 0 is the untouched base
@@ -497,8 +490,8 @@ impl TwoWorldEngine {
                 sensitivity_norm: self.params.sensitivity_norm,
                 sensitivity_override: self.params.sensitivity_override,
                 threads: Some(1),
-                engine: self.params.engine,
                 mechanism,
+                ..ServiceConfig::default()
             },
         );
         let requests: Vec<BatchRequest> = self
@@ -623,7 +616,6 @@ impl EdgeInferenceScenario {
             confidence: config.confidence,
             sensitivity_norm: config.sensitivity_norm,
             sensitivity_override: config.sensitivity_override,
-            engine: config.engine,
         };
         let engine = TwoWorldEngine::new(base, utility, mutations, divergence, params);
         EdgeInferenceScenario { engine, config }
@@ -681,12 +673,6 @@ impl EdgeInferenceScenario {
             self.transcript_epsilon(),
             Some(self.engine.representative_utilities()),
         )
-    }
-
-    /// A representative utility vector (first observer, world 1) for
-    /// bounds overlays.
-    pub fn representative_utilities(&self) -> &UtilityVector {
-        self.engine.representative_utilities()
     }
 }
 

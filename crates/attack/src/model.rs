@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 
 use psr_graph::NodeId;
-use psr_privacy::{resolve_slots, topk, Laplace, ServeMechanism, TopKEngine};
+use psr_privacy::{resolve_slots, topk, Laplace, ServeMechanism};
 use psr_utility::{CandidateSet, UtilityVector};
 
 /// Which mechanism (and calibration) produced an observation. All three
@@ -238,8 +238,8 @@ impl ObservationModel {
     }
 
     /// Simulates one output of this model through the sampler the
-    /// serving path calls ([`ServeMechanism::sample`], on the peel engine,
-    /// then the shared zero-class resolver) — the shadow-model sampler
+    /// serving path calls ([`ServeMechanism::sample`], then the shared
+    /// zero-class resolver) — the shadow-model sampler
     /// behind the membership-inference attack. Laplace and smoothing
     /// serve one slot whatever `k` is.
     pub fn sample(&self, k: usize, rng: &mut dyn rand::RngCore) -> Vec<NodeId> {
@@ -253,7 +253,7 @@ impl ObservationModel {
             // Smoothing reads neither ε nor Δf.
             MechanismModel::Smoothing { x } => (ServeMechanism::Smoothing { x }, 0.0, 1.0),
         };
-        let top = mechanism.sample(TopKEngine::Peel, &self.utilities, k, epsilon, sensitivity, rng);
+        let top = mechanism.sample(&self.utilities, k, epsilon, sensitivity, rng);
         resolve_slots(&top.picks, &self.utilities, &self.candidates, rng)
     }
 
@@ -575,12 +575,17 @@ mod tests {
 
     #[test]
     fn sample_replays_the_direct_mechanism_draws() {
-        use psr_privacy::{LaplaceMechanism, LinearSmoothing, Mechanism};
+        use psr_privacy::{ExponentialMechanism, LaplaceMechanism, LinearSmoothing, Mechanism};
         let direct = |m: &ObservationModel, k: usize, rng: &mut rand::rngs::StdRng| {
             let u = &m.utilities;
             let slots = match m.mechanism {
+                MechanismModel::Exponential { epsilon, sensitivity } if k == 1 => {
+                    vec![ExponentialMechanism::paper()
+                        .recommend(u, epsilon, sensitivity, rng)
+                        .slot()]
+                }
                 MechanismModel::Exponential { epsilon, sensitivity } => {
-                    topk::topk_exponential(u, k.min(u.len()), epsilon, sensitivity, rng).picks
+                    psr_privacy::topk_gumbel(u, k.min(u.len()), epsilon, sensitivity, rng).picks
                 }
                 MechanismModel::Laplace { epsilon, sensitivity } => {
                     vec![LaplaceMechanism::default().recommend(u, epsilon, sensitivity, rng).slot()]
@@ -592,6 +597,7 @@ mod tests {
             resolve_slots(&slots, u, &m.candidates, rng)
         };
         for (mechanism, k) in [
+            (MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 }, 1),
             (MechanismModel::Exponential { epsilon: 1.0, sensitivity: 1.0 }, 2),
             (MechanismModel::Laplace { epsilon: 0.8, sensitivity: 1.0 }, 1),
             (MechanismModel::Smoothing { x: 0.4 }, 1),

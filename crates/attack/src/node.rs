@@ -33,8 +33,7 @@
 use std::sync::Arc;
 
 use psr_graph::{rewire_node, EdgeMutation, Graph, GraphView, NodeId};
-use psr_privacy::TopKEngine;
-use psr_utility::{SensitivityNorm, UtilityFunction, UtilityVector};
+use psr_utility::{SensitivityNorm, UtilityFunction};
 
 use crate::adversary::Adversary;
 use crate::harness::{unique_argmax, Divergence, EngineParams, TwoWorldEngine};
@@ -95,9 +94,6 @@ pub struct NodeScenarioConfig {
     pub sensitivity_norm: SensitivityNorm,
     /// Δf override when the utility reports no analytic bound.
     pub sensitivity_override: Option<f64>,
-    /// Which top-`k` sampler the attacked service runs (the engines are
-    /// distributionally identical; see `ScenarioConfig::engine`).
-    pub engine: TopKEngine,
 }
 
 impl NodeScenarioConfig {
@@ -118,7 +114,6 @@ impl NodeScenarioConfig {
             confidence: 0.95,
             sensitivity_norm: SensitivityNorm::LInf,
             sensitivity_override: None,
-            engine: TopKEngine::default(),
         }
     }
 }
@@ -186,7 +181,6 @@ impl NodeIdentityScenario {
             confidence: config.confidence,
             sensitivity_norm: config.sensitivity_norm,
             sensitivity_override: config.sensitivity_override,
-            engine: config.engine,
         };
         let engine = TwoWorldEngine::new(base, utility, rewire, divergence, params);
         NodeIdentityScenario { engine, config }
@@ -275,12 +269,6 @@ impl NodeIdentityScenario {
             Some(self.engine.representative_utilities()),
             self.engine.base().num_nodes(),
         )
-    }
-
-    /// A representative utility vector (first observer, world 1) for
-    /// bounds overlays.
-    pub fn representative_utilities(&self) -> &UtilityVector {
-        self.engine.representative_utilities()
     }
 }
 

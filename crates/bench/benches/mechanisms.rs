@@ -1,9 +1,11 @@
 //! Mechanism micro-benchmarks: the per-recommendation serving cost.
 
 #![allow(missing_docs)] // `criterion_main!` expands an undocumented `fn main`
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use psr_bench::{median_target, wiki_graph};
-use psr_privacy::{ExponentialMechanism, LaplaceMechanism, LinearSmoothing, Mechanism};
+use psr_privacy::{
+    ExponentialMechanism, LaplaceMechanism, LinearSmoothing, Mechanism, ServeMechanism,
+};
 use psr_utility::{CommonNeighbors, UtilityFunction, UtilityVector};
 use rand::SeedableRng;
 
@@ -63,16 +65,12 @@ fn bench_mechanisms(c: &mut Criterion) {
         });
     }
 
-    // Top-k peeling (extension): cost per extra slot.
+    // Top-k Exponential sampling (extension): cost per extra slot.
     let v = wide_vector(64, 10_000);
     for k in [1usize, 5, 10] {
-        group.bench_function(format!("topk_exponential_k{k}"), |b| {
+        group.bench_function(format!("topk_k{k}"), |b| {
             let mut r = rng();
-            b.iter_batched(
-                || v.clone(),
-                |v| psr_privacy::topk::topk_exponential(&v, k, 2.0, 1.0, &mut r),
-                BatchSize::SmallInput,
-            );
+            b.iter(|| ServeMechanism::Exponential.sample(&v, k, 2.0, 1.0, &mut r));
         });
     }
     group.finish();

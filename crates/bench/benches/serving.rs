@@ -1,21 +1,16 @@
 //! Serving-path throughput: the batched `RecommendationService` worker
 //! pool on the Wikipedia-vote-scale preset. The printed comparison is the
 //! headline: answering one batch through the pool against a `serve_one`
-//! loop over the same requests.
-//!
-//! A second headline races the two top-k engines — the one-pass
-//! Gumbel-max sampler against the k-round exponential peel it replaces —
-//! on the 10k-node Barabási–Albert preset, asserting the Gumbel engine
-//! wins at k ≥ 5 where the peel's O(k·|C|) rescans dominate.
+//! loop over the same requests. A second group times one hot request
+//! through the Exponential sampler at growing `k`.
 
 #![allow(missing_docs)] // the bench entry point is an undocumented `fn main`
 use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
-use psr_bench::{ba_graph_10k, wiki_graph, BENCH_SEED};
+use psr_bench::{wiki_graph, BENCH_SEED};
 use psr_core::serving::{BatchRequest, RecommendationService, ServiceConfig};
-use psr_privacy::TopKEngine;
 use psr_utility::CommonNeighbors;
 
 /// A deterministic request batch: every connected node asks for `k`
@@ -30,15 +25,11 @@ fn batch(graph: &psr_graph::Graph, k: usize, max_requests: usize) -> Vec<BatchRe
 }
 
 fn service_over(graph: &Arc<psr_graph::Graph>) -> RecommendationService {
-    engine_service_over(graph, TopKEngine::default())
-}
-
-fn engine_service_over(graph: &Arc<psr_graph::Graph>, engine: TopKEngine) -> RecommendationService {
     RecommendationService::new(
         Arc::clone(graph),
         Box::new(CommonNeighbors),
         // Unbounded budget: throughput measurement, not policy.
-        ServiceConfig { budget_per_target: f64::INFINITY, engine, ..Default::default() },
+        ServiceConfig { budget_per_target: f64::INFINITY, ..Default::default() },
     )
 }
 
@@ -80,13 +71,14 @@ fn serving_throughput(c: &mut Criterion) {
     }
 }
 
-/// The in-place top-k peel as the service drives it, isolated from pool
-/// overheads: one hot target, growing k.
-fn serving_topk_peel(c: &mut Criterion) {
+/// The Exponential sampler as the service drives it, isolated from pool
+/// overheads: one hot target, growing k. k1 goes through Definition 5's
+/// walk, k8 and k32 through one-pass Gumbel-max.
+fn serving_topk(c: &mut Criterion) {
     let graph = Arc::new(wiki_graph());
-    let service = engine_service_over(&graph, TopKEngine::Peel);
+    let service = service_over(&graph);
     let target = psr_bench::median_target(&graph);
-    let mut group = c.benchmark_group("serving_topk_peel");
+    let mut group = c.benchmark_group("serving_topk");
     for k in [1usize, 8, 32] {
         group.bench_function(format!("k{k}"), |b| {
             let requests = [BatchRequest { target, k }];
@@ -96,77 +88,7 @@ fn serving_topk_peel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Same shape through the one-pass Gumbel-max engine, for side-by-side
-/// ids in the committed snapshot.
-fn serving_topk_gumbel(c: &mut Criterion) {
-    let graph = Arc::new(wiki_graph());
-    let service = engine_service_over(&graph, TopKEngine::Gumbel);
-    let target = psr_bench::median_target(&graph);
-    let mut group = c.benchmark_group("serving_topk_gumbel");
-    for k in [1usize, 8, 32] {
-        group.bench_function(format!("k{k}"), |b| {
-            let requests = [BatchRequest { target, k }];
-            b.iter(|| service.serve_batch(&requests, BENCH_SEED));
-        });
-    }
-    group.finish();
-}
-
-/// Gumbel vs peel on the 10k-node BA preset. Headline (printed, asserted):
-/// at k ≥ 5 the one-pass engine must beat the k-round peel on the same
-/// request batch — the quantitative case for switching the default.
-fn serving_engines_ba10k(c: &mut Criterion) {
-    let graph = Arc::new(ba_graph_10k());
-    let peel = engine_service_over(&graph, TopKEngine::Peel);
-    let gumbel = engine_service_over(&graph, TopKEngine::Gumbel);
-    let requests = batch(&graph, 5, 512);
-
-    // Best of 3 per engine, outside the sampler: one warm-up batch each,
-    // then the fastest timed run.
-    let mut peel_time = std::time::Duration::MAX;
-    let mut gumbel_time = std::time::Duration::MAX;
-    assert!(peel.serve_batch(&requests, BENCH_SEED).iter().all(Result::is_ok));
-    assert!(gumbel.serve_batch(&requests, BENCH_SEED).iter().all(Result::is_ok));
-    for _ in 0..3 {
-        let start = Instant::now();
-        let outcomes = peel.serve_batch(&requests, BENCH_SEED);
-        peel_time = peel_time.min(start.elapsed());
-        assert!(outcomes.iter().all(Result::is_ok));
-        let start = Instant::now();
-        let outcomes = gumbel.serve_batch(&requests, BENCH_SEED);
-        gumbel_time = gumbel_time.min(start.elapsed());
-        assert!(outcomes.iter().all(Result::is_ok));
-    }
-    println!(
-        "[serving] BA-10k, {} requests at k=5: gumbel {:.2} ms vs peel {:.2} ms ({:.2}x)",
-        requests.len(),
-        gumbel_time.as_secs_f64() * 1e3,
-        peel_time.as_secs_f64() * 1e3,
-        peel_time.as_secs_f64() / gumbel_time.as_secs_f64(),
-    );
-    assert!(
-        gumbel_time <= peel_time,
-        "one-pass gumbel ({gumbel_time:?}) must beat the k-round peel ({peel_time:?}) at k=5"
-    );
-
-    let mut group = c.benchmark_group("serving_engines_ba10k");
-    group.sample_size(10);
-    group.bench_function("peel_k5", |b| {
-        b.iter(|| peel.serve_batch(&requests, BENCH_SEED));
-    });
-    group.bench_function("gumbel_k5", |b| {
-        b.iter(|| gumbel.serve_batch(&requests, BENCH_SEED));
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    serving_throughput,
-    serving_topk_peel,
-    serving_topk_gumbel,
-    serving_engines_ba10k,
-);
+criterion_group!(benches, serving_throughput, serving_topk);
 
 fn main() {
     benches();

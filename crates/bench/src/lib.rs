@@ -17,8 +17,8 @@ pub const BENCH_SEED: u64 = 2011;
 /// Node count of the [`ba_graph_10k`] preset.
 pub const BA_NODES: usize = 10_000;
 
-/// The 10k-node Barabási–Albert preset shared by the mutation and
-/// engine-comparison benches (mean degree 10).
+/// The 10k-node Barabási–Albert preset of the mutation benches (mean
+/// degree 10).
 pub fn ba_graph_10k() -> Graph {
     let mut rng = rng_from_seed(BENCH_SEED);
     ba_undirected(BaParams { n: BA_NODES, target_edges: 5 * BA_NODES }, &mut rng)

@@ -42,8 +42,6 @@ serve options (batch serving over a worker pool):
                     (default 1.0)
   --budget <f64>    total ε each target may spend before the service
                     refuses it (default 10.0)
-  --engine <name>   peel|gumbel top-k sampler; same distribution, gumbel
-                    is the one-pass fast path (default gumbel)
   --threads <n>     worker threads (default: all cores)
   --seed <u64>      master seed (default 42)
   --json <path>     write the JSON outcome report here instead of stdout
@@ -55,7 +53,7 @@ serve options (batch serving over a worker pool):
 
 daemon options (always-on serving over generated request/mutation streams):
   --input, --directed, --preset, --scale, --utility, --gamma, --backend,
-  --snapshot, --epsilon, --budget, --engine, --threads, --seed, --json,
+  --snapshot, --epsilon, --budget, --threads, --seed, --json,
   --metrics-out, --trace
                     as for serve
   --request-events <n>   requests to generate (default 256)
@@ -84,8 +82,6 @@ attack options (empirical edge- and node-inference adversaries):
                     --backend compressed, excludes --input/--preset)
   --utility <name>  common-neighbors|weighted-paths (default common-neighbors)
   --gamma <f64>     weighted-paths damping (default 0.005)
-  --engine <name>   peel|gumbel top-k sampler for exponential observations
-                    (default gumbel)
   --adjacency <a>   edge|node — Definition 1's single-edge worlds or
                     Appendix A's whole-neighbourhood rewire (default edge)
   --mechanism <m>   exponential|laplace|smoothing|non-private
@@ -157,8 +153,6 @@ options:
 
 /// Utility functions every serving/attack surface accepts.
 const UTILITIES: [&str; 2] = ["common-neighbors", "weighted-paths"];
-/// Top-k engines every serving/attack surface accepts.
-const ENGINES: [&str; 2] = ["peel", "gumbel"];
 /// Mechanisms the attack harness (and frontier sweeps) cover.
 const ATTACK_MECHANISMS: [&str; 4] = ["exponential", "laplace", "smoothing", "non-private"];
 /// Generated presets the batch/stream serving surfaces accept.
@@ -172,14 +166,6 @@ const ATTACK_PRESETS: [&str; 4] = ["karate", "wiki", "twitter", "livejournal"];
 fn parse_utility(raw: &str) -> Result<String, String> {
     if !UTILITIES.contains(&raw) {
         return Err(format!("unknown utility {raw:?}"));
-    }
-    Ok(raw.to_owned())
-}
-
-/// Validated `--engine` parse shared by the same subcommands.
-fn parse_engine(raw: &str) -> Result<String, String> {
-    if !ENGINES.contains(&raw) {
-        return Err(format!("unknown top-k engine {raw:?} (expected peel|gumbel)"));
     }
     Ok(raw.to_owned())
 }
@@ -472,7 +458,7 @@ fn resolve_backend(
 }
 
 /// Flags `serve` and `daemon` share: the graph source and backing, the
-/// utility, the privacy parameters, the top-k engine, the worker pool and
+/// utility, the privacy parameters, the worker pool and
 /// the report/telemetry outputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingFlags {
@@ -496,8 +482,6 @@ pub struct ServingFlags {
     pub epsilon: f64,
     /// Total ε each target may spend.
     pub budget: f64,
-    /// Top-k engine name: peel|gumbel.
-    pub engine: String,
     /// Worker threads (None = all cores).
     pub threads: Option<usize>,
     /// RNG seed.
@@ -524,7 +508,6 @@ impl Default for ServingFlags {
             gamma: 0.005,
             epsilon: 1.0,
             budget: 10.0,
-            engine: "gumbel".to_owned(),
             threads: None,
             seed: 42,
             json: None,
@@ -570,7 +553,6 @@ fn parse_serving(
                     return Err("--budget must be positive and finite".into());
                 }
             }
-            "--engine" => flags.engine = parse_engine(value("--engine")?)?,
             "--threads" => {
                 flags.threads =
                     Some(value("--threads")?.parse().map_err(|e| format!("--threads: {e}"))?);
@@ -727,8 +709,6 @@ pub struct AttackOptions {
     pub utility: String,
     /// Weighted-paths damping.
     pub gamma: f64,
-    /// Top-k engine name for exponential observations: peel|gumbel.
-    pub engine: String,
     /// Mechanism under attack.
     pub mechanism: String,
     /// Per-observation ε for exponential/laplace.
@@ -774,7 +754,6 @@ impl Default for AttackOptions {
             snapshot: None,
             utility: "common-neighbors".to_owned(),
             gamma: 0.005,
-            engine: "gumbel".to_owned(),
             mechanism: "exponential".to_owned(),
             epsilon: 0.5,
             smoothing_x: 0.05,
@@ -817,7 +796,6 @@ fn parse_attack(rest: &[String]) -> Result<AttackOptions, String> {
             "--gamma" => {
                 opts.gamma = value("--gamma")?.parse().map_err(|e| format!("--gamma: {e}"))?
             }
-            "--engine" => opts.engine = parse_engine(value("--engine")?)?,
             "--mechanism" => {
                 opts.mechanism = parse_mechanism(value("--mechanism")?, &ATTACK_MECHANISMS)?
             }
@@ -1218,7 +1196,7 @@ mod tests {
     fn parses_serve() {
         let cmd = parse(&argv(
             "serve --requests reqs.json --preset twitter --epsilon 0.5 --budget 2.5 \
-             --engine peel --threads 4 --seed 9 --json out.json",
+             --threads 4 --seed 9 --json out.json",
         ))
         .unwrap();
         match cmd {
@@ -1227,7 +1205,6 @@ mod tests {
                 assert_eq!(opts.serving.preset, "twitter");
                 assert_eq!(opts.serving.epsilon, 0.5);
                 assert_eq!(opts.serving.budget, 2.5);
-                assert_eq!(opts.serving.engine, "peel");
                 assert_eq!(opts.serving.threads, Some(4));
                 assert_eq!(opts.serving.seed, 9);
                 assert_eq!(opts.serving.json.as_deref(), Some("out.json"));
@@ -1244,8 +1221,6 @@ mod tests {
         assert!(parse(&argv("serve --requests r.json --budget inf")).is_err());
         assert!(parse(&argv("serve --requests r.json --utility nope")).is_err());
         assert!(parse(&argv("serve --requests r.json --mechanism laplace")).is_err());
-        assert!(parse(&argv("serve --requests r.json --engine bogus")).is_err());
-        assert!(parse(&argv("serve --requests r.json --engine")).is_err());
     }
 
     #[test]
@@ -1255,7 +1230,6 @@ mod tests {
             Command::Serve { opts } => {
                 assert_eq!(opts.serving.epsilon, 1.0);
                 assert_eq!(opts.serving.budget, 10.0);
-                assert_eq!(opts.serving.engine, "gumbel");
                 assert_eq!(opts.serving.preset, "wiki");
                 assert_eq!(opts.serving.threads, None);
                 assert_eq!(opts.serving.json, None);
@@ -1282,7 +1256,7 @@ mod tests {
         let cmd = parse(&argv(
             "daemon --preset twitter --request-events 64 --mutation-events 8 \
              --insert-fraction 0.5 --k 3 --batch 4 --mutation-batch 2 --queue 5 \
-             --ledger spend.ledger --rate 100 --engine peel --threads 2 --seed 9 \
+             --ledger spend.ledger --rate 100 --threads 2 --seed 9 \
              --json out.json",
         ))
         .unwrap();
@@ -1298,7 +1272,6 @@ mod tests {
                 assert_eq!(opts.queue, 5);
                 assert_eq!(opts.ledger.as_deref(), Some("spend.ledger"));
                 assert_eq!(opts.rate, Some(100.0));
-                assert_eq!(opts.serving.engine, "peel");
                 assert_eq!(opts.serving.threads, Some(2));
                 assert_eq!(opts.serving.seed, 9);
                 assert_eq!(opts.serving.json.as_deref(), Some("out.json"));
@@ -1319,7 +1292,6 @@ mod tests {
                 assert_eq!(opts.queue, 8);
                 assert_eq!(opts.ledger, None);
                 assert_eq!(opts.rate, None);
-                assert_eq!(opts.serving.engine, "gumbel");
             }
             other => panic!("{other:?}"),
         }
@@ -1335,20 +1307,9 @@ mod tests {
         assert!(parse(&argv("daemon --queue 0")).is_err());
         assert!(parse(&argv("daemon --rate 0")).is_err());
         assert!(parse(&argv("daemon --rate inf")).is_err());
-        assert!(parse(&argv("daemon --engine bogus")).is_err());
         assert!(parse(&argv("daemon --budget -1")).is_err());
         assert!(parse(&argv("daemon --ledger")).is_err());
         assert!(parse(&argv("daemon --bogus")).is_err());
-    }
-
-    #[test]
-    fn attack_accepts_an_engine() {
-        let cmd = parse(&argv("attack --engine peel")).unwrap();
-        match cmd {
-            Command::Attack { opts } => assert_eq!(opts.engine, "peel"),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&argv("attack --engine bogus")).is_err());
     }
 
     #[test]
@@ -1634,8 +1595,9 @@ mod tests {
             assert!(parse(&argv(&format!("{cmd} --epsilon inf"))).is_err(), "{cmd}");
             assert!(parse(&argv(&format!("{cmd} --scale 2"))).is_err(), "{cmd}");
         }
+        // The top-k engine flag is gone: every value is an unknown flag.
         for cmd in ["serve --requests r.json", "daemon", "attack"] {
-            assert!(parse(&argv(&format!("{cmd} --engine bogus"))).is_err(), "{cmd}");
+            assert!(parse(&argv(&format!("{cmd} --engine gumbel"))).is_err(), "{cmd}");
         }
     }
 

@@ -16,7 +16,6 @@ use psr_attack::{
 };
 use psr_graph::io::IdMap;
 use psr_graph::{Graph, GraphView, NodeId};
-use psr_privacy::TopKEngine;
 use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 use serde::Serialize;
 
@@ -100,10 +99,6 @@ struct AttackReport {
     /// Graph backing the attacked graph came through: csr|compressed.
     backend: String,
     utility: String,
-    /// Which top-k sampler served the transcripts (peel|gumbel; the two
-    /// are distributionally identical, so this is provenance, not a
-    /// privacy parameter).
-    engine: String,
     mechanism: String,
     /// `"edge"` (Definition 1) or `"node"` (Appendix A).
     adjacency: String,
@@ -177,12 +172,6 @@ fn parse_utility(opts: &AttackOptions) -> Box<dyn UtilityFunction> {
         "weighted-paths" => Box::new(WeightedPaths::paper(opts.gamma)),
         other => unreachable!("arg parser admits only known utilities, got {other}"),
     }
-}
-
-fn parse_engine(opts: &AttackOptions) -> TopKEngine {
-    opts.engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"))
 }
 
 fn parse_mechanism(opts: &AttackOptions) -> AttackMechanism {
@@ -297,7 +286,6 @@ fn run_edge(opts: &AttackOptions) {
         k: opts.k,
         trials_per_world: opts.trials,
         mechanism,
-        engine: parse_engine(opts),
         epochs,
         threads: opts.threads,
         seed: opts.seed,
@@ -321,7 +309,6 @@ fn run_edge(opts: &AttackOptions) {
             .unwrap_or_else(|| opts.preset.clone()),
         backend: opts.backend.clone(),
         utility: utility_name,
-        engine: parse_engine(opts).name().to_owned(),
         mechanism: opts.mechanism.clone(),
         adjacency: "edge".to_owned(),
         epsilon_per_observation: epsilon_per_observation(mechanism),
@@ -394,7 +381,6 @@ fn run_node(opts: &AttackOptions) {
         k: opts.k,
         trials_per_world: opts.trials,
         mechanism,
-        engine: parse_engine(opts),
         epochs,
         threads: opts.threads,
         seed: opts.seed,
@@ -425,7 +411,6 @@ fn run_node(opts: &AttackOptions) {
             .unwrap_or_else(|| opts.preset.clone()),
         backend: opts.backend.clone(),
         utility: utility_name,
-        engine: parse_engine(opts).name().to_owned(),
         mechanism: opts.mechanism.clone(),
         adjacency: "node".to_owned(),
         epsilon_per_observation: epsilon_per_observation(mechanism),

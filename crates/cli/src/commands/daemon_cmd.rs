@@ -38,7 +38,6 @@ struct EpochRecord {
 #[derive(Debug, Serialize)]
 struct DaemonReport {
     utility: String,
-    engine: String,
     /// Graph backing the stream was served from: csr|compressed.
     backend: String,
     epsilon_per_request: f64,
@@ -104,7 +103,6 @@ pub fn run(opts: &DaemonOptions) {
 
     let report = DaemonReport {
         utility: utility_name,
-        engine: service.config().engine.name().to_owned(),
         backend: backend_kind,
         epsilon_per_request: flags.epsilon,
         budget_per_target: flags.budget,

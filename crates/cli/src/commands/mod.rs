@@ -19,7 +19,6 @@ use psr_datasets::{livejournal_like, twitter_like, wiki_vote_like, PresetConfig}
 use psr_graph::io::IdMap;
 use psr_graph::{CompressedCsr, Direction, Graph, GraphBackend};
 use psr_obs::{MetricsSnapshot, Telemetry};
-use psr_privacy::TopKEngine;
 use psr_utility::{CommonNeighbors, UtilityFunction, WeightedPaths};
 
 use crate::args::{Command, ServingFlags};
@@ -112,7 +111,7 @@ pub(crate) fn load_serving_backend(
 }
 
 /// Builds the service `serve` and `daemon` run from their shared flags:
-/// the selected backing, utility and top-k engine, the telemetry bundle
+/// the selected backing and utility, the telemetry bundle
 /// `--metrics-out`/`--trace` ask for, and a budget ledger — journalled at
 /// `journal` (replaying earlier spend) or volatile when `None`. Returns
 /// the service and its utility's name.
@@ -135,14 +134,9 @@ pub(crate) fn build_service(
         other => unreachable!("arg parser admits only known utilities, got {other}"),
     };
     let utility_name = utility.name();
-    let engine: TopKEngine = flags
-        .engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("arg parser admits only known engines: {e}"));
     let config = ServiceConfig {
         epsilon_per_request: flags.epsilon,
         budget_per_target: flags.budget,
-        engine,
         threads: flags.threads,
         ..Default::default()
     };

@@ -53,7 +53,6 @@ struct EpochRecord {
 #[derive(Debug, Serialize)]
 struct ServeReport {
     utility: String,
-    engine: String,
     /// Graph backing the requests were served from: csr|compressed.
     backend: String,
     epsilon_per_request: f64,
@@ -176,7 +175,6 @@ pub fn run(opts: &ServeOptions) {
 
     let report = ServeReport {
         utility: utility_name,
-        engine: service.config().engine.name().to_owned(),
         backend: backend_kind,
         epsilon_per_request: flags.epsilon,
         budget_per_target: flags.budget,

@@ -140,7 +140,6 @@ impl EpochState {
         }
         let u = &state.utilities;
         let top = self.config.mechanism.sample(
-            self.config.engine,
             u,
             request.k,
             self.config.epsilon_per_request,

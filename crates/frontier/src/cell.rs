@@ -1,11 +1,12 @@
 //! One grid cell: its spec, its execution, its measured result.
 //!
 //! A cell is the atom of a sweep — one (dataset, utility, adjacency,
-//! mechanism, ε, engine) combination, executed as a full two-world
+//! mechanism, ε) combination, executed as a full two-world
 //! attack scenario through the real serving stack. [`run_cell`] measures
 //! three things side by side, which is the whole point of the frontier:
 //!
-//! * **theory** — the Corollary-1 accuracy ceiling at the cell's ε, the
+//! * **theory** — the Corollary-1 accuracy ceiling at the cell's ε
+//!   (averaged over the observations the accuracy is measured on), the
 //!   Lemma-1 advantage ceiling at the transcript budget, and (for node
 //!   adjacency) Appendix A's ε floors;
 //! * **achieved accuracy** — the mean measured accuracy of the served
@@ -31,7 +32,6 @@ use psr_attack::{
 };
 use psr_gen::split_seed;
 use psr_graph::{Graph, NodeId};
-use psr_privacy::TopKEngine;
 use psr_utility::{CommonNeighbors, UtilityFunction, UtilityVector, WeightedPaths};
 use serde::{Deserialize, Serialize};
 
@@ -58,8 +58,6 @@ pub struct CellSpec {
     pub mechanism: String,
     /// Per-observation ε (`None` for mechanisms without an ε parameter).
     pub epsilon: Option<f64>,
-    /// Top-`k` engine name.
-    pub engine: String,
 }
 
 /// A closed Clopper–Pearson interval.
@@ -119,8 +117,9 @@ pub struct CellResult {
     /// only).
     pub node_transcript_epsilon: Option<f64>,
     /// Corollary-1 accuracy ceiling at the cell's per-observation ε and
-    /// the adjacency's edit distance (1.0 when the theory is vacuous:
-    /// non-private, smoothing, or an all-zero utility vector).
+    /// the adjacency's edit distance, averaged over the scorable world-1
+    /// observations that `mean_accuracy` averages (1.0 when the theory is
+    /// vacuous: non-private, smoothing, or nothing scorable).
     pub accuracy_bound: f64,
     /// Lemma-1 advantage ceiling at the cell's budget (the node-level
     /// budget for node cells).
@@ -157,12 +156,6 @@ fn parse_utility(plan: &ExperimentPlan, spec: &CellSpec) -> Box<dyn UtilityFunct
     }
 }
 
-fn parse_engine(spec: &CellSpec) -> TopKEngine {
-    spec.engine
-        .parse()
-        .unwrap_or_else(|e| unreachable!("validated plans admit only known engines: {e}"))
-}
-
 fn parse_mechanism(plan: &ExperimentPlan, spec: &CellSpec) -> AttackMechanism {
     match (spec.mechanism.as_str(), spec.epsilon) {
         ("exponential", Some(epsilon)) => AttackMechanism::Exponential { epsilon },
@@ -173,38 +166,53 @@ fn parse_mechanism(plan: &ExperimentPlan, spec: &CellSpec) -> AttackMechanism {
     }
 }
 
-/// The Corollary-1 accuracy ceiling for one observation of this cell:
+/// The Corollary-1 accuracy ceiling for one observer's utility vector:
 /// evaluated at the per-observation ε and the adjacency's edit distance
 /// (t = 1 for edge worlds, t = 2 for a node rewire's bound form). 1.0
-/// (vacuous) when the mechanism has no ε or the representative utility
-/// vector is all-zero.
-fn accuracy_ceiling(spec: &CellSpec, representative: &UtilityVector) -> f64 {
+/// (vacuous) when the mechanism has no ε or the vector is all-zero.
+fn accuracy_ceiling(spec: &CellSpec, utilities: &UtilityVector) -> f64 {
     let Some(epsilon) = spec.epsilon else { return 1.0 };
-    if representative.is_all_zero() {
+    if utilities.is_all_zero() {
         return 1.0;
     }
     let t = if spec.adjacency == "node" { psr_bounds::edit_distance::t_node_privacy() } else { 1 };
-    psr_bounds::best_accuracy_bound(representative, epsilon, t, None).accuracy_bound
+    psr_bounds::best_accuracy_bound(utilities, epsilon, t, None).accuracy_bound
 }
 
-/// Counts exact hits among the scorable world-1 observations: entries
-/// whose measured accuracy is exactly 1 under the world-1 model. The
-/// binary event behind the accuracy error bars ([`clopper_pearson`] needs
-/// a Bernoulli count; the fractional mean has no binomial interval).
-fn exact_hits(world1_model: &WorldModel, set: &TranscriptSet) -> (usize, usize) {
+/// Scores the world-1 observations under the world-1 model: the exact
+/// hits (entries whose measured accuracy is exactly 1, the binary event
+/// behind the accuracy error bars — [`clopper_pearson`] needs a Bernoulli
+/// count), the scorable entries, and the accuracy ceiling over those same
+/// entries: each observer model's Corollary-1 ceiling, weighted by its
+/// scorable entries, so ceiling and `mean_accuracy` average one
+/// population.
+fn score_world1(
+    spec: &CellSpec,
+    world1_model: &WorldModel,
+    set: &TranscriptSet,
+) -> (usize, usize, f64) {
     let mut hits = 0usize;
-    let mut scored = 0usize;
+    let mut scored_by_model = vec![0usize; world1_model.models().len()];
     for t in &set.world1 {
         for (i, obs) in t.entries.iter().enumerate() {
             if let Some(acc) = world1_model.model_for(i).accuracy_of(&obs.recommendations) {
-                scored += 1;
-                if acc >= 1.0 {
-                    hits += 1;
-                }
+                scored_by_model[world1_model.model_index(i)] += 1;
+                hits += usize::from(acc >= 1.0);
             }
         }
     }
-    (hits, scored)
+    let scored: usize = scored_by_model.iter().sum();
+    if scored == 0 {
+        return (hits, 0, 1.0);
+    }
+    let weighted: f64 = world1_model
+        .models()
+        .iter()
+        .zip(&scored_by_model)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(model, &n)| n as f64 * accuracy_ceiling(spec, &model.utilities))
+        .sum();
+    (hits, scored, weighted / scored as f64)
 }
 
 /// Clopper–Pearson interval on a best-threshold rate: the rate is
@@ -315,7 +323,6 @@ pub fn run_cell_on(
     let seed = split_seed(plan.seed, CELL_SEED_TAG ^ spec.index as u64);
     let utility = parse_utility(plan, spec);
     let mechanism = parse_mechanism(plan, spec);
-    let engine = parse_engine(spec);
 
     match target {
         Some(AttackTarget::Edge { secret, observers }) => {
@@ -324,7 +331,6 @@ pub fn run_cell_on(
                 k: plan.k,
                 trials_per_world: plan.trials_per_world,
                 mechanism,
-                engine,
                 epochs: EpochStyle::Static,
                 threads: Some(1),
                 seed,
@@ -333,7 +339,7 @@ pub fn run_cell_on(
             };
             let scenario = EdgeInferenceScenario::new(Arc::clone(graph), utility, config);
             let set = scenario.collect();
-            let (hits, scored) = exact_hits(scenario.world_models().1, &set);
+            let (hits, scored, ceiling) = score_world1(spec, scenario.world_models().1, &set);
             let probe = scenario.probe();
             let evaluated = evaluate_adversaries(probe, seed, |adv| {
                 let result = scenario.attack(&set, adv);
@@ -345,7 +351,7 @@ pub fn run_cell_on(
                 dataset,
                 scenario.transcript_epsilon(),
                 None,
-                accuracy_ceiling(spec, scenario.representative_utilities()),
+                ceiling,
                 hits,
                 scored,
                 plan,
@@ -358,7 +364,6 @@ pub fn run_cell_on(
                 k: plan.k,
                 trials_per_world: plan.trials_per_world,
                 mechanism,
-                engine,
                 epochs: NodeEpochStyle::Static,
                 threads: Some(1),
                 seed,
@@ -367,7 +372,7 @@ pub fn run_cell_on(
             };
             let scenario = NodeIdentityScenario::new(Arc::clone(graph), utility, config);
             let set = scenario.collect();
-            let (hits, scored) = exact_hits(scenario.world_models().1, &set);
+            let (hits, scored, ceiling) = score_world1(spec, scenario.world_models().1, &set);
             let probe = scenario.probe();
             let evaluated = evaluate_adversaries(probe, seed, |adv| {
                 let result = scenario.attack(&set, adv);
@@ -379,7 +384,7 @@ pub fn run_cell_on(
                 dataset,
                 scenario.transcript_epsilon(),
                 scenario.node_transcript_epsilon(),
-                accuracy_ceiling(spec, scenario.representative_utilities()),
+                ceiling,
                 hits,
                 scored,
                 plan,
@@ -464,7 +469,6 @@ mod tests {
             adjacency: adjacency.to_owned(),
             mechanism: mechanism.to_owned(),
             epsilon,
-            engine: "gumbel".to_owned(),
         }
     }
 
@@ -489,6 +493,37 @@ mod tests {
             assert!(adv.tpr <= adv.tpr_interval.upper + 1e-12);
             assert!(adv.empirical_epsilon_lower <= adv.empirical_epsilon + 1e-12);
         }
+    }
+
+    #[test]
+    fn accuracy_ceiling_averages_every_scored_observer() {
+        // The toy edge cell watches two karate observers, each scored on
+        // every world-1 round, so its ceiling is the plain mean of their
+        // Corollary-1 ceilings on their world-1 vectors (secret inserted).
+        let plan = ExperimentPlan::toy();
+        let graph = Arc::new(karate_club());
+        let spec = toy_cell("exponential", Some(0.5), "edge");
+        let Some(AttackTarget::Edge { secret, observers }) = resolve_target(&plan, &spec, &graph)
+        else {
+            panic!("karate offers a secret edge");
+        };
+        let mut world1 = psr_graph::MutableGraph::from(graph.as_ref());
+        world1.add_edge(secret.0, secret.1).unwrap();
+        let world1 = world1.freeze();
+        let ceilings: Vec<f64> = observers
+            .iter()
+            .map(|&o| {
+                let u = CommonNeighbors.utilities_for(&world1, o);
+                psr_bounds::best_accuracy_bound(&u, 0.5, 1, None).accuracy_bound
+            })
+            .collect();
+        assert_eq!(ceilings.len(), 2);
+        assert_ne!(ceilings[0], ceilings[1], "the observers must differ for the mean to show");
+
+        let cell = run_cell(&plan, &spec, &graph).unwrap();
+        assert_eq!(cell.scored_entries, plan.trials_per_world * plan.rounds * 2);
+        let mean = (ceilings[0] + ceilings[1]) / 2.0;
+        assert!((cell.accuracy_bound - mean).abs() < 1e-12, "{} vs {mean}", cell.accuracy_bound);
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! truncation of a torn tail, and `fsync` per record so a killed sweep
 //! can never lose an acknowledged cell.
 //!
-//! The header carries the plan *fingerprint* and the total cell count:
-//! a valid journal written for a different plan is a hard
-//! [`io::ErrorKind::InvalidData`] error (silently mixing two plans'
-//! cells would fabricate a frontier nobody measured), while a torn
-//! header means nothing was ever durable and the file restarts fresh.
+//! The header carries the format version, the plan *fingerprint* and
+//! the total cell count. Only a line that fails its checksum is torn: a
+//! torn header means nothing was ever durable and the file restarts
+//! fresh, and a torn cell line ends the replay there. A sealed line is
+//! durable, so one this build cannot use — a header of another plan or
+//! another format version, or a cell record that does not parse — is a
+//! hard [`io::ErrorKind::InvalidData`] error that leaves the file's bytes
+//! untouched: silently mixing two plans' cells would fabricate a frontier
+//! nobody measured, and silently dropping a stale journal would discard
+//! measured cells without a word.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -23,8 +28,12 @@ use psr_obs::Histogram;
 
 use crate::cell::CellResult;
 
-/// Magic + version prefix of the journal header line.
-const HEADER_TAG: &str = "psrfrontier v1";
+/// Format name every version's header line starts with.
+const FORMAT: &str = "psrfrontier";
+/// Magic + version prefix of the journal header line. v2 cell specs
+/// carry no top-`k` engine, and one-slot Exponential cells draw through
+/// Definition 5's walk, so v1 cells are neither readable nor comparable.
+const HEADER_TAG: &str = "psrfrontier v2";
 
 /// An open results journal, positioned for appending.
 #[derive(Debug)]
@@ -39,10 +48,12 @@ impl ResultsJournal {
     /// Opens (or creates) the journal at `path` for the plan identified
     /// by `fingerprint` expanding to `total_cells` cells. Returns the
     /// journal plus every cell replayed from the longest valid prefix
-    /// (a torn or corrupt tail is dropped and truncated away).
+    /// (a torn tail is dropped and truncated away).
     ///
-    /// A **valid** header whose fingerprint or cell count differs from
-    /// the caller's is an [`io::ErrorKind::InvalidData`] error.
+    /// A **sealed** header of another format version, plan fingerprint or
+    /// cell count, and a sealed cell line that does not parse, are
+    /// [`io::ErrorKind::InvalidData`] errors that leave the file as it
+    /// was.
     pub fn open(
         path: impl AsRef<Path>,
         fingerprint: u64,
@@ -56,48 +67,61 @@ impl ResultsJournal {
         let content = lossy_utf8_prefix(bytes);
 
         let header = seal(&format!("{HEADER_TAG} {fingerprint:016x} {total_cells}"));
+        let unusable = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "frontier journal {} {what}; delete it or point the sweep at a fresh journal",
+                    path.display()
+                ),
+            )
+        };
         let mut replayed = Vec::new();
         let mut valid_len = 0usize;
         let mut lines = LineSplitter::new(&content);
-        match lines.next().and_then(unseal) {
-            Some(payload) if payload.starts_with(HEADER_TAG) => {
-                let rest = payload.strip_prefix(HEADER_TAG).map(str::trim_start);
-                let fields: Option<(u64, usize)> = rest.and_then(|rest| {
-                    let (fp, total) = rest.split_once(' ')?;
+        // An empty file or a torn header: nothing was ever durable here,
+        // so the journal starts fresh.
+        if let Some(payload) = lines.next().and_then(unseal) {
+            let Some(rest) = payload.strip_prefix(HEADER_TAG) else {
+                let version = payload.strip_prefix(FORMAT).map(|rest| rest.split(' ').nth(1));
+                return Err(unusable(match version {
+                    Some(v) => format!(
+                        "was written by {FORMAT} {}; this build reads {HEADER_TAG}",
+                        v.unwrap_or("(no version)")
+                    ),
+                    None => "does not start with a frontier journal header".to_owned(),
+                }));
+            };
+            let fields: Option<(u64, usize)> =
+                rest.trim_start().split_once(' ').and_then(|(fp, total)| {
                     Some((u64::from_str_radix(fp, 16).ok()?, total.parse().ok()?))
                 });
-                let (fp, total) = fields.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("frontier journal {} has a malformed header", path.display()),
-                    )
-                })?;
-                if fp != fingerprint || total != total_cells {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "frontier journal {} was written for plan {fp:016x} ({total} cells), \
-                             not {fingerprint:016x} ({total_cells} cells); delete it or point \
-                             the sweep at a fresh journal",
-                            path.display()
-                        ),
-                    ));
-                }
-                valid_len = lines.consumed_before_current();
-                // Replay the longest valid cell prefix.
-                while let Some(line) = lines.next() {
-                    match unseal(line).and_then(parse_cell) {
-                        Some(cell) if cell.spec.index < total_cells => {
-                            replayed.push(cell);
-                            valid_len = lines.consumed_before_current();
-                        }
-                        _ => break, // torn/corrupt tail: drop the rest
+            let (fp, total) =
+                fields.ok_or_else(|| unusable("has a malformed header".to_owned()))?;
+            if fp != fingerprint || total != total_cells {
+                return Err(unusable(format!(
+                    "was written for plan {fp:016x} ({total} cells), not {fingerprint:016x} \
+                     ({total_cells} cells)"
+                )));
+            }
+            valid_len = lines.consumed_before_current();
+            // Replay every sealed cell; the first torn line ends the
+            // durable prefix.
+            while let Some(payload) = lines.next().and_then(unseal) {
+                match parse_cell(payload) {
+                    Some(cell) if cell.spec.index < total_cells => {
+                        replayed.push(cell);
+                        valid_len = lines.consumed_before_current();
+                    }
+                    _ => {
+                        return Err(unusable(format!(
+                            "holds a sealed cell record this build cannot read, after {} \
+                             readable cells",
+                            replayed.len()
+                        )))
                     }
                 }
             }
-            // Empty file, torn header, or not our format with no valid
-            // header: nothing was ever durable here — start fresh.
-            _ => {}
         }
 
         file.set_len(valid_len as u64)?;
@@ -236,6 +260,33 @@ mod tests {
         assert!(err.to_string().contains("was written for plan"), "{err}");
         let err = ResultsJournal::open(&path, fp, total + 1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn stale_journals_are_refused_untouched() {
+        // A sealed line is durable: an older format's header, or a cell
+        // record of an older schema under a matching header, must stop the
+        // sweep with a message rather than be dropped as a torn tail.
+        let path = scratch_path("stale");
+        let _cleanup = Cleanup(path.clone());
+        let (plan, _) = sample_cells(0);
+        let fp = plan.fingerprint();
+        let total = plan.expand().len();
+        let header = format!("{fp:016x} {total}");
+        let stale_cell = seal(r#"C {"spec":{"index":0,"engine":"peel"}}"#);
+        for (bytes, reason) in [
+            (seal(&format!("psrfrontier v1 {header}")), "was written by psrfrontier v1"),
+            (seal(&format!("{HEADER_TAG} {header}")) + &stale_cell, "cannot read"),
+            (seal("ledger v1"), "does not start with a frontier journal header"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ResultsJournal::open(&path, fp, total).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(message.contains(reason) && message.contains("delete it"), "{message}");
+            assert!(message.contains(&path.display().to_string()), "{message}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes.as_bytes(), "left untouched");
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! orchestrator:
 //!
 //! * an [`ExperimentPlan`] declares a grid of mechanisms × utility
-//!   functions × datasets/backends × adjacency notions × ε values ×
-//!   top-`k` engines ([`plan`]),
+//!   functions × datasets/backends × adjacency notions × ε values
+//!   ([`plan`]),
 //! * [`run_sweep`] expands the grid into independent [`CellSpec`]s and
 //!   fans them across a worker pool — per-cell deterministic seed
 //!   streams make results thread-count-invariant ([`sweep`]),

@@ -2,17 +2,16 @@
 //!
 //! An [`ExperimentPlan`] names every axis of the paper's trade-off
 //! question at once — mechanisms × utility functions × datasets/backends
-//! × adjacency notions × ε values × top-`k` engines — plus the shared
-//! scenario knobs (rounds, trials, confidence). [`ExperimentPlan::
+//! × adjacency notions × ε values — plus the shared scenario knobs (rounds, trials, confidence). [`ExperimentPlan::
 //! expand`] turns the grid into a flat list of independent
 //! [`CellSpec`](crate::CellSpec)s with stable indices; the index is the
 //! cell's identity in the results journal and the seed stream, so the
 //! same plan always expands to the same cells in the same order.
 //!
-//! Plans are plain JSON. Every field is required (the vendored serde has
-//! no defaults by design — a plan that silently filled in trials or ε
-//! values would not be a reproducible artefact); [`ExperimentPlan::toy`]
-//! emits a complete karate-club template to start from.
+//! Plans are plain JSON. Every field is required (a plan that silently
+//! filled in trials or ε values would not be a reproducible artefact);
+//! [`ExperimentPlan::toy`] emits a complete karate-club template to start
+//! from.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,8 +23,6 @@ pub const MECHANISMS: &[&str] = &["exponential", "laplace", "smoothing", "non-pr
 pub const UTILITIES: &[&str] = &["common-neighbors", "weighted-paths"];
 /// Adjacency notions a plan may sweep.
 pub const ADJACENCIES: &[&str] = &["edge", "node"];
-/// Top-`k` engines a plan may sweep.
-pub const ENGINES: &[&str] = &["peel", "gumbel"];
 /// Graph backings a dataset axis may pin.
 pub const BACKENDS: &[&str] = &["csr", "compressed"];
 /// Generated presets a dataset axis may name (plus `karate`).
@@ -92,9 +89,11 @@ pub struct ExperimentPlan {
     pub adjacencies: Vec<String>,
     /// Per-observation ε axis (every value positive and finite).
     pub epsilons: Vec<f64>,
-    /// Top-`k` engine axis (`peel`, `gumbel`). Mechanisms that bypass the
-    /// top-`k` sampler (`laplace`, `smoothing`) collapse this axis to its
-    /// first entry.
+    /// perfbench shim: delete in the next benchmark change. The top-`k`
+    /// engine axis was removed; [`ExperimentPlan::validate`] accepts only
+    /// `[]` or `["gumbel"]`, and nothing else reads it.
+    #[doc(hidden)]
+    #[serde(default)]
     pub engines: Vec<String>,
     /// Path-damping γ for `weighted-paths`.
     pub gamma: f64,
@@ -128,7 +127,7 @@ impl ExperimentPlan {
             utilities: vec!["common-neighbors".to_owned()],
             adjacencies: vec!["edge".to_owned()],
             epsilons: vec![0.5, 2.0],
-            engines: vec!["gumbel".to_owned()],
+            engines: Vec::new(),
             gamma: 0.5,
             smoothing_x: 0.05,
             rounds: 2,
@@ -167,7 +166,13 @@ impl ExperimentPlan {
         subset("mechanism", &self.mechanisms, MECHANISMS)?;
         subset("utility", &self.utilities, UTILITIES)?;
         subset("adjacency", &self.adjacencies, ADJACENCIES)?;
-        subset("engine", &self.engines, ENGINES)?;
+        if !(self.engines.is_empty() || self.engines == ["gumbel"]) {
+            return Err(format!(
+                "the top-k engine axis was removed (every Exponential cell draws through one \
+                 sampler); drop \"engines\": {:?} from the plan",
+                self.engines
+            ));
+        }
         if self.datasets.is_empty() {
             return Err("plan has an empty dataset axis".to_owned());
         }
@@ -231,15 +236,12 @@ impl ExperimentPlan {
     }
 
     /// Expands the grid into its independent cells, in a fixed nested
-    /// order (datasets → utilities → adjacencies → mechanisms → ε →
-    /// engines) with sequential indices.
+    /// order (datasets → utilities → adjacencies → mechanisms → ε) with
+    /// sequential indices.
     ///
-    /// Two collapse rules keep the grid free of redundant cells:
-    /// mechanisms without an ε parameter (`smoothing`, `non-private`)
-    /// produce one cell per (dataset, utility, adjacency) with `epsilon:
-    /// None`, and mechanisms that bypass the top-`k` sampler (`laplace`,
-    /// `smoothing`) use only the first engine (the engine never touches
-    /// their output distribution).
+    /// Mechanisms without an ε parameter (`smoothing`, `non-private`)
+    /// collapse the ε axis: one cell per (dataset, utility, adjacency)
+    /// with `epsilon: None`.
     #[must_use]
     pub fn expand(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
@@ -251,22 +253,15 @@ impl ExperimentPlan {
                             "smoothing" | "non-private" => vec![None],
                             _ => self.epsilons.iter().map(|&e| Some(e)).collect(),
                         };
-                        let engines: Vec<&String> = match mechanism.as_str() {
-                            "laplace" | "smoothing" => vec![&self.engines[0]],
-                            _ => self.engines.iter().collect(),
-                        };
-                        for epsilon in &epsilons {
-                            for engine in &engines {
-                                cells.push(CellSpec {
-                                    index: cells.len(),
-                                    dataset,
-                                    utility: utility.clone(),
-                                    adjacency: adjacency.clone(),
-                                    mechanism: mechanism.clone(),
-                                    epsilon: *epsilon,
-                                    engine: (*engine).clone(),
-                                });
-                            }
+                        for epsilon in epsilons {
+                            cells.push(CellSpec {
+                                index: cells.len(),
+                                dataset,
+                                utility: utility.clone(),
+                                adjacency: adjacency.clone(),
+                                mechanism: mechanism.clone(),
+                                epsilon,
+                            });
                         }
                     }
                 }
@@ -288,6 +283,10 @@ mod tests {
         let back = ExperimentPlan::from_json(&json).unwrap();
         assert_eq!(plan, back);
         assert_eq!(plan.fingerprint(), back.fingerprint());
+        // The retired engine axis may be left out.
+        let without = json.replace("\n  \"engines\": [],", "");
+        assert_ne!(without, json);
+        assert_eq!(ExperimentPlan::from_json(&without).unwrap(), plan);
     }
 
     #[test]
@@ -306,22 +305,17 @@ mod tests {
         let mut plan = ExperimentPlan::toy();
         plan.mechanisms =
             vec!["exponential".to_owned(), "smoothing".to_owned(), "laplace".to_owned()];
-        plan.engines = vec!["peel".to_owned(), "gumbel".to_owned()];
         plan.epsilons = vec![0.5, 1.0];
         let cells = plan.expand();
-        // exponential: 2 ε × 2 engines; smoothing: 1 cell; laplace: 2 ε ×
-        // 1 engine (first engine only).
-        assert_eq!(cells.len(), 4 + 1 + 2);
+        // exponential: 2 ε; smoothing: 1 cell; laplace: 2 ε.
+        assert_eq!(cells.len(), 2 + 1 + 2);
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(cell.index, i, "indices are sequential");
         }
         let smoothing: Vec<_> = cells.iter().filter(|c| c.mechanism == "smoothing").collect();
         assert_eq!(smoothing.len(), 1);
         assert_eq!(smoothing[0].epsilon, None, "no ε axis for smoothing");
-        assert!(cells
-            .iter()
-            .filter(|c| c.mechanism == "laplace")
-            .all(|c| c.engine == "peel" && c.epsilon.is_some()));
+        assert!(cells.iter().filter(|c| c.mechanism == "laplace").all(|c| c.epsilon.is_some()));
         // Same plan, same expansion.
         assert_eq!(cells, plan.expand());
     }
@@ -345,9 +339,12 @@ mod tests {
         plan.datasets[0].snapshot = Some("x.psrz".to_owned());
         assert!(plan.validate().unwrap_err().contains("compressed"));
 
+        // The retired engine axis: absent or `["gumbel"]` only.
         let mut plan = ExperimentPlan::toy();
-        plan.engines.clear();
-        assert!(plan.validate().unwrap_err().contains("empty engine axis"));
+        plan.engines = vec!["gumbel".to_owned()];
+        plan.validate().unwrap();
+        plan.engines = vec!["peel".to_owned(), "gumbel".to_owned()];
+        assert!(plan.validate().unwrap_err().contains("the top-k engine axis was removed"));
 
         let mut plan = ExperimentPlan::toy();
         plan.mechanisms = vec!["smoothing".to_owned()];

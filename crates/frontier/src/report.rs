@@ -4,7 +4,7 @@
 //! echoed back, every cell's measurement sorted by index, and a
 //! `recommendations` section that answers the paper's question as a
 //! query — for each (dataset, utility, adjacency, ε) workload, which
-//! mechanism/engine achieved the best measured accuracy *while staying
+//! mechanism achieved the best measured accuracy *while staying
 //! consistent with its configured budget*.
 //!
 //! Reports carry **no timestamps, git SHAs or host details** — a report
@@ -33,8 +33,6 @@ pub struct Recommendation {
     pub epsilon: Option<f64>,
     /// The winning mechanism.
     pub mechanism: String,
-    /// The engine the winning cell served through.
-    pub engine: String,
     /// The winning cell's measured accuracy.
     pub mean_accuracy: Option<f64>,
     /// The winning cell's Corollary-1 accuracy ceiling.
@@ -112,13 +110,12 @@ impl FrontierReport {
             let eps = r.epsilon.map_or("eps-free".to_owned(), |e| format!("eps={e}"));
             let acc = r.mean_accuracy.map_or("n/a".to_owned(), |a| format!("{a:.3}"));
             out.push_str(&format!(
-                "  {} / {} / {} / {eps}: {} ({}) accuracy {acc} (ceiling {:.3}), \
+                "  {} / {} / {} / {eps}: {} accuracy {acc} (ceiling {:.3}), \
                  certified eps >= {:.3}{}\n",
                 r.dataset,
                 r.utility,
                 r.adjacency,
                 r.mechanism,
-                r.engine,
                 r.accuracy_bound,
                 r.certified_epsilon_lower,
                 if r.consistent { "" } else { " [INCONSISTENT]" },
@@ -179,7 +176,6 @@ fn recommend(cells: &[CellResult]) -> Vec<Recommendation> {
                 adjacency: winner.spec.adjacency.clone(),
                 epsilon: winner.spec.epsilon,
                 mechanism: winner.spec.mechanism.clone(),
-                engine: winner.spec.engine.clone(),
                 mean_accuracy: winner.mean_accuracy,
                 accuracy_bound: winner.accuracy_bound,
                 certified_epsilon_lower: certified_lower(winner),

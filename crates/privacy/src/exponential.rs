@@ -48,9 +48,9 @@ impl ExponentialMechanism {
 
     /// Exact per-entry probabilities: returns (probability of each
     /// non-zero candidate aligned with `u.nonzero()`, probability of *each
-    /// individual* zero-utility candidate). Weights are shifted by `u_max`
-    /// before exponentiation, so the largest exponent is 0 and the sum
-    /// cannot overflow.
+    /// individual* zero-utility candidate, 0 when there is none). Weights
+    /// are shifted by `u_max` before exponentiation, so the largest
+    /// exponent is 0 and the sum cannot overflow.
     pub fn probabilities(&self, u: &UtilityVector, eps: f64, sensitivity: f64) -> (Vec<f64>, f64) {
         assert!(eps >= 0.0, "privacy parameter must be non-negative");
         assert!(sensitivity > 0.0, "sensitivity must be positive");
@@ -59,7 +59,9 @@ impl ExponentialMechanism {
         let u_max = u.u_max();
         let weights: Vec<f64> =
             u.nonzero().iter().map(|&(_, ui)| (s * (ui - u_max)).exp()).collect();
-        let zero_weight = (s * (0.0 - u_max)).exp();
+        // An empty zero class weighs nothing: `0 · e^{−s·u_max}` is NaN once
+        // negative utilities send the exponential to +∞.
+        let zero_weight = if u.num_zero() > 0 { (s * (0.0 - u_max)).exp() } else { 0.0 };
         let z: f64 = weights.iter().sum::<f64>() + zero_weight * u.num_zero() as f64;
         (weights.iter().map(|w| w / z).collect(), zero_weight / z)
     }
@@ -80,7 +82,7 @@ impl Mechanism for ExponentialMechanism {
         sensitivity: f64,
         rng: &mut dyn rand::RngCore,
     ) -> Recommendation {
-        let (probs, zero_each) = self.probabilities(u, eps, sensitivity);
+        let (probs, _) = self.probabilities(u, eps, sensitivity);
         let mut roll: f64 = rng.gen();
         for (&(v, _), &p) in u.nonzero().iter().zip(&probs) {
             if roll < p {
@@ -88,11 +90,13 @@ impl Mechanism for ExponentialMechanism {
             }
             roll -= p;
         }
-        // Remaining mass belongs to the zero class (floating-point residue
-        // also lands here, which errs toward zero-utility — conservative).
-        debug_assert!(u.num_zero() > 0 || roll < 1e-9);
-        let _ = zero_each;
-        Recommendation::ZeroUtilityClass
+        // The remaining mass belongs to the zero class. With the class
+        // empty it is floating-point residue of a few ulps, and it goes to
+        // the last non-zero candidate: a served draw always names a slot.
+        match u.nonzero().last() {
+            Some(&(v, _)) if u.num_zero() == 0 => Recommendation::Node(v),
+            _ => Recommendation::ZeroUtilityClass,
+        }
     }
 
     /// Closed form: `Σᵢ uᵢ·pᵢ / u_max` — no sampling involved.

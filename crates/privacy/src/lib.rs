@@ -22,7 +22,7 @@
 //!   for all three mechanisms; [`resolve_slots`] names the zero-class
 //!   slots it draws.
 //! * [`audit`] — exact DP-ratio verification on neighbouring inputs.
-//! * [`topk`] — a peeling top-`k` extension (§8 / App. A "multiple
+//! * [`topk`] — the one-pass top-`k` extension (§8 / App. A "multiple
 //!   recommendations").
 
 pub mod audit;
@@ -41,4 +41,6 @@ pub use mechanism::{
     resolve_slots, resolve_zero_class_distinct, Mechanism, Recommendation, ServeMechanism,
 };
 pub use smoothing::LinearSmoothing;
-pub use topk::{topk_exponential, topk_gumbel, topk_with_engine, TopK, TopKEngine};
+pub use topk::{topk_gumbel, TopK};
+#[doc(hidden)]
+pub use topk::{topk_with_engine, TopKEngine};

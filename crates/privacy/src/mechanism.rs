@@ -5,8 +5,8 @@ use psr_graph::NodeId;
 use psr_utility::{CandidateSet, UtilityVector};
 use rand::Rng;
 
-use crate::topk::{topk_with_engine, TopK, TopKEngine};
-use crate::{LaplaceMechanism, LinearSmoothing};
+use crate::topk::{topk_gumbel, TopK};
+use crate::{ExponentialMechanism, LaplaceMechanism, LinearSmoothing};
 
 /// Outcome of one mechanism invocation.
 ///
@@ -89,10 +89,15 @@ pub enum ServeMechanism {
 impl ServeMechanism {
     /// Draws distinct slots from `u`: `k` clamped to the candidate count,
     /// and to 1 for the single-draw Laplace and smoothing mechanisms.
-    /// Only the Exponential mechanism reads `engine`.
+    ///
+    /// The Exponential mechanism picks its sampler from the clamped `k`;
+    /// both draw the same ε/k-per-slot peel. One slot is one walk of
+    /// Definition 5's probabilities ([`ExponentialMechanism::recommend`]).
+    /// Two or more go through the one-pass Gumbel-max [`topk_gumbel`],
+    /// whose cost barely grows with `k` but whose per-candidate key draw
+    /// makes it the slower of the two at `k = 1`.
     pub fn sample(
         self,
-        engine: TopKEngine,
         u: &UtilityVector,
         k: usize,
         eps: f64,
@@ -100,9 +105,10 @@ impl ServeMechanism {
         rng: &mut dyn rand::RngCore,
     ) -> TopK {
         let draw = match self {
-            ServeMechanism::Exponential => {
-                return topk_with_engine(engine, u, k.min(u.len()), eps, sensitivity, rng)
-            }
+            ServeMechanism::Exponential => match k.min(u.len()) {
+                1 => ExponentialMechanism::paper().recommend(u, eps, sensitivity, rng),
+                k => return topk_gumbel(u, k, eps, sensitivity, rng),
+            },
             ServeMechanism::Laplace => {
                 LaplaceMechanism::default().recommend(u, eps, sensitivity, rng)
             }
@@ -167,12 +173,24 @@ mod tests {
     fn sample_clamps_k_and_replays_the_underlying_draws() {
         let u = UtilityVector::from_sparse(vec![(1, 4.0), (5, 2.0)], 3);
         let seeded = || rand::rngs::StdRng::seed_from_u64(29);
-        for engine in [TopKEngine::Peel, TopKEngine::Gumbel] {
-            // Exponential: the engine's own top-k, k clamped to |C| = 5.
-            let (mut a, mut b) = (seeded(), seeded());
-            let top = ServeMechanism::Exponential.sample(engine, &u, 9, 1.0, 1.0, &mut a);
-            assert_eq!(top, topk_with_engine(engine, &u, 5, 1.0, 1.0, &mut b));
-            assert_eq!(a.next_u64(), b.next_u64(), "same number of draws");
+        // Exponential, two or more slots: Gumbel's top-k, k clamped to |C| = 5.
+        let (mut a, mut b) = (seeded(), seeded());
+        let top = ServeMechanism::Exponential.sample(&u, 9, 1.0, 1.0, &mut a);
+        assert_eq!(top, topk_gumbel(&u, 5, 1.0, 1.0, &mut b));
+        assert_eq!(a.next_u64(), b.next_u64(), "same number of draws");
+        // One slot, asked for or clamped to by a one-candidate vector:
+        // Definition 5's walk.
+        let lone = UtilityVector::from_sparse(vec![(3, 2.0)], 0);
+        for (u, k) in [(&u, 1), (&lone, 4)] {
+            for seed in 0..50 {
+                let mut a = rand::rngs::StdRng::seed_from_u64(seed);
+                let mut b = a.clone();
+                let top = ServeMechanism::Exponential.sample(u, k, 0.7, 1.0, &mut a);
+                let slot = ExponentialMechanism::paper().recommend(u, 0.7, 1.0, &mut b).slot();
+                assert_eq!(top.picks, vec![slot]);
+                assert_eq!(top.total_utility, slot.map_or(0.0, |v| u.get(v)));
+                assert_eq!(a.next_u64(), b.next_u64(), "same draws");
+            }
         }
         let single: [(ServeMechanism, &dyn Mechanism); 2] = [
             (ServeMechanism::Laplace, &LaplaceMechanism { trials: 1 }),
@@ -182,7 +200,7 @@ mod tests {
             for seed in 0..50 {
                 let mut a = rand::rngs::StdRng::seed_from_u64(seed);
                 let mut b = a.clone();
-                let top = mechanism.sample(TopKEngine::Gumbel, &u, 3, 0.7, 1.0, &mut a);
+                let top = mechanism.sample(&u, 3, 0.7, 1.0, &mut a);
                 let slot = reference.recommend(&u, 0.7, 1.0, &mut b).slot();
                 assert_eq!(top.picks, vec![slot], "{mechanism:?} serves one slot");
                 assert_eq!(top.total_utility, slot.map_or(0.0, |v| u.get(v)));

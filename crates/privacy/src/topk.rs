@@ -1,66 +1,32 @@
-//! Top-`k` recommendations by mechanism peeling (extension).
+//! Top-`k` recommendations (extension).
 //!
 //! Appendix A notes the paper's single-recommendation lower bounds "imply
 //! stronger negative results for making multiple recommendations". This
-//! module makes that concrete: `k` sequential Exponential-mechanism draws
-//! without replacement, each charged `ε/k`, are `ε`-DP by basic
-//! composition. The ablation bench measures how fast per-slot accuracy
-//! collapses as `k` grows — the quantitative version of the appendix's
-//! remark.
+//! module makes that concrete: `k` Exponential-mechanism draws without
+//! replacement, each charged `ε/k`, are `ε`-DP by basic composition. The
+//! ablation bench measures how fast per-slot accuracy collapses as `k`
+//! grows — the quantitative version of the appendix's remark.
 //!
-//! The peel happens **in place**: one live list of non-zero entries plus a
-//! zero-class counter, with each round's draw walking the live weights
-//! directly. No per-round clone of the remaining candidates, no per-round
-//! `UtilityVector` reconstruction.
-//!
-//! Two engines realise the same distribution ([`TopKEngine`]): the
-//! peeling sampler above, and the one-pass Gumbel-max sampler
-//! ([`topk_gumbel`]) that `psr_core::serving::RecommendationService` runs
-//! by default — O(|C| + k log k) per request instead of O(k·|C|), exact
-//! equivalence pinned by the chi-square conformance suite.
+//! [`topk_gumbel`] samples that `k`-round peel in one pass, O(|C| +
+//! k log k) per request. [`crate::ServeMechanism::sample`] is the one
+//! Exponential sampler every serving path calls: it draws a one-slot
+//! request with Definition 5's walk and two or more slots here. The
+//! chi-square conformance suite pins both sides against the exactly
+//! enumerated peel distribution.
 
 use psr_graph::NodeId;
 use psr_utility::UtilityVector;
 use rand::Rng;
 
-/// Which sampler realises the `k`-round Exponential-mechanism peel.
-///
-/// Both engines draw from the *same* distribution — `k` rounds of
-/// Plackett–Luce sampling without replacement at weight `exp(rate·u)`,
-/// `rate = ε/(k·Δf)` — they differ only in cost: the peel walks the live
-/// weights `k` times (O(k·|C|)), the Gumbel engine perturbs every weight
-/// once and selects the top `k` keys (O(|C| + k log k)). Equivalence is
-/// exact because the per-round rate is constant, and is pinned by the
-/// chi-square conformance suite.
+use crate::ServeMechanism;
+
+/// perfbench shim: delete in the next benchmark change.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopKEngine {
-    /// `k` sequential peeling rounds (the original engine).
-    Peel,
-    /// One-pass Gumbel-max sampling (the default serving engine).
+    /// The one-pass Gumbel-max sampler.
     #[default]
     Gumbel,
-}
-
-impl TopKEngine {
-    /// Stable lowercase name, the CLI `--engine` vocabulary.
-    pub fn name(self) -> &'static str {
-        match self {
-            TopKEngine::Peel => "peel",
-            TopKEngine::Gumbel => "gumbel",
-        }
-    }
-}
-
-impl std::str::FromStr for TopKEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "peel" => Ok(TopKEngine::Peel),
-            "gumbel" => Ok(TopKEngine::Gumbel),
-            other => Err(format!("unknown top-k engine '{other}' (expected peel|gumbel)")),
-        }
-    }
 }
 
 /// Result of a top-`k` draw.
@@ -71,107 +37,6 @@ pub struct TopK {
     pub picks: Vec<Option<NodeId>>,
     /// Sum of utilities of the recommended slots.
     pub total_utility: f64,
-}
-
-/// Draws `k` distinct recommendations by peeling: each round runs an
-/// Exponential-mechanism draw with budget `ε/k` (paper scaling,
-/// `exp(ε·u/Δf)`) over the still-unrecommended candidates, removing the
-/// winner in place.
-///
-/// Zero-class accounting is guarded on both paths a draw can land in the
-/// zero class: a draw with the class already empty (reachable through
-/// floating-point residue when the live probabilities sum just below 1)
-/// falls back to a uniform live candidate instead of underflowing the
-/// counter, and once the live entries are exhausted the remaining slots
-/// consume the zero class one member per round, never past zero.
-pub fn topk_exponential(
-    u: &UtilityVector,
-    k: usize,
-    eps: f64,
-    sensitivity: f64,
-    rng: &mut dyn rand::RngCore,
-) -> TopK {
-    assert!(k >= 1, "k must be positive");
-    assert!(k <= u.len(), "cannot recommend more nodes than candidates");
-    assert!(eps >= 0.0, "privacy parameter must be non-negative");
-    assert!(sensitivity > 0.0, "sensitivity must be positive");
-    let rate = eps / k as f64 / sensitivity; // per-round exponent rate s
-
-    // Live non-zero entries, peeled in place. `Vec::remove` keeps the
-    // sorted-by-id order the walk visits, matching the one-shot
-    // mechanism's semantics; the walk is already O(live), so the shift
-    // does not change the round's complexity.
-    let mut live: Vec<(NodeId, f64)> = u.nonzero().to_vec();
-    let mut zeros = u.num_zero();
-    let mut picks = Vec::with_capacity(k);
-    let mut total_utility = 0.0;
-
-    fn take(
-        live: &mut Vec<(NodeId, f64)>,
-        picks: &mut Vec<Option<NodeId>>,
-        total: &mut f64,
-        idx: usize,
-    ) {
-        let (node, utility) = live.remove(idx);
-        *total += utility;
-        picks.push(Some(node));
-    }
-
-    for _ in 0..k {
-        if live.is_empty() {
-            // Only the zero class remains. The `k ≤ len` assertion plus
-            // one-candidate-per-round accounting make `zeros ≥ 1` here;
-            // the guard keeps a broken invariant from wrapping the
-            // counter in release builds.
-            if zeros == 0 {
-                break;
-            }
-            zeros -= 1;
-            picks.push(None);
-            continue;
-        }
-        // Weights shifted by the current max so the largest exponent is 0
-        // and the mass cannot overflow; recomputed per round because the
-        // max shrinks as top entries are peeled off. The fold must start
-        // from −∞: seeding it with 0.0 silently clamps the shift when all
-        // live utilities are negative (reachable only through serde — the
-        // sparse constructors reject negatives), underflowing every live
-        // weight at high rates and skewing the draw toward the zero class.
-        let u_max = live.iter().map(|&(_, x)| x).fold(f64::NEG_INFINITY, f64::max);
-        // Guard the empty class: `0.0 * exp(−rate·u_max)` is NaN once a
-        // negative `u_max` sends the exponential to +∞.
-        let mut mass: f64 = if zeros > 0 { zeros as f64 * (-rate * u_max).exp() } else { 0.0 };
-        for &(_, x) in live.iter() {
-            mass += (rate * (x - u_max)).exp();
-        }
-        let threshold = rng.gen::<f64>() * mass;
-        let mut acc = 0.0;
-        let mut chosen = None;
-        for (i, &(_, x)) in live.iter().enumerate() {
-            acc += (rate * (x - u_max)).exp();
-            if threshold < acc {
-                chosen = Some(i);
-                break;
-            }
-        }
-        match chosen {
-            Some(i) => take(&mut live, &mut picks, &mut total_utility, i),
-            None if zeros > 0 => {
-                // The draw landed in the zero class: uniform member.
-                zeros -= 1;
-                picks.push(None);
-            }
-            None => {
-                // Floating-point residue past every live weight with an
-                // empty zero class (at most a few ulps of probability):
-                // charge the draw to a uniform live candidate instead of
-                // underflowing the zero counter.
-                let i = rng.gen_range(0..live.len());
-                take(&mut live, &mut picks, &mut total_utility, i);
-            }
-        }
-    }
-    TopK { picks, total_utility }
 }
 
 /// A standard Gumbel(0, 1) variate: `−ln(−ln U)`, `U ∈ [0, 1)`. A zero
@@ -191,18 +56,18 @@ fn exp1(rng: &mut dyn rand::RngCore) -> f64 {
 /// Draws `k` distinct recommendations in one pass with the Gumbel-max
 /// trick: the top `k` of the perturbed keys `rate·uᵢ + Gumbelᵢ(0, 1)` are
 /// distributed exactly as `k` rounds of Plackett–Luce peeling at weight
-/// `exp(rate·uᵢ)` — the distribution of [`topk_exponential`] — because
-/// the per-round rate `ε/(k·Δf)` never changes across the peel.
+/// `exp(rate·uᵢ)`, because the per-round rate `ε/(k·Δf)` never changes
+/// across the peel.
 ///
 /// The anonymous zero class is handled in aggregate: its `z` members all
 /// carry weight `exp(0) = 1`, so the top `min(k, z)` of their keys are
 /// the descending order statistics of `z` i.i.d. Gumbels, sampled
 /// directly through a Rényi exponential race (`Eᵢ₊₁ = Eᵢ + Exp(1)/(z−i)`,
 /// key `= −ln Eᵢ₊₁`) without materialising the class. Zero-class winners
-/// surface as `None` picks, preserving the peel's `Option<NodeId>`
-/// semantics.
+/// surface as `None` picks.
 ///
-/// Cost: O(|C| + k log k) per request versus the peel's O(k·|C|).
+/// Cost: O(|C| + k log k) per request, against O(k·|C|) for `k` explicit
+/// peeling rounds.
 pub fn topk_gumbel(
     u: &UtilityVector,
     k: usize,
@@ -244,19 +109,17 @@ pub fn topk_gumbel(
     TopK { picks, total_utility }
 }
 
-/// Dispatches a top-`k` draw to the selected [`TopKEngine`].
+/// perfbench shim: delete in the next benchmark change.
+#[doc(hidden)]
 pub fn topk_with_engine(
-    engine: TopKEngine,
+    _engine: TopKEngine,
     u: &UtilityVector,
     k: usize,
     eps: f64,
     sensitivity: f64,
     rng: &mut dyn rand::RngCore,
 ) -> TopK {
-    match engine {
-        TopKEngine::Peel => topk_exponential(u, k, eps, sensitivity, rng),
-        TopKEngine::Gumbel => topk_gumbel(u, k, eps, sensitivity, rng),
-    }
+    topk_gumbel(u, k, eps, sensitivity, rng)
 }
 
 /// The non-private optimum: sum of the `k` largest utilities. Denominator
@@ -267,8 +130,8 @@ pub fn topk_optimal_utility(u: &UtilityVector, k: usize) -> f64 {
     vals.iter().take(k).sum()
 }
 
-/// Monte-Carlo expected top-`k` accuracy:
-/// `E[Σ u(slot)] / Σ top-k utilities`.
+/// Monte-Carlo expected top-`k` accuracy of the Exponential mechanism's
+/// serving sampler: `E[Σ u(slot)] / Σ top-k utilities`.
 pub fn topk_expected_accuracy(
     u: &UtilityVector,
     k: usize,
@@ -281,7 +144,7 @@ pub fn topk_expected_accuracy(
     assert!(denom > 0.0, "accuracy undefined for all-zero utility vectors");
     let mut total = 0.0;
     for _ in 0..trials {
-        total += topk_exponential(u, k, eps, sensitivity, rng).total_utility;
+        total += ServeMechanism::Exponential.sample(u, k, eps, sensitivity, rng).total_utility;
     }
     total / trials as f64 / denom
 }
@@ -299,23 +162,40 @@ mod tests {
         UtilityVector::from_sparse(vec![(0, 5.0), (1, 3.0), (2, 1.0)], 4)
     }
 
+    /// The serving sampler. The tests drive it on both sides of its `k`
+    /// split: one slot through Definition 5's walk, more through
+    /// [`topk_gumbel`].
+    fn sample(u: &UtilityVector, k: usize, eps: f64, rng: &mut dyn rand::RngCore) -> TopK {
+        ServeMechanism::Exponential.sample(u, k, eps, 1.0, rng)
+    }
+
+    fn distinct_nodes(picks: &[Option<NodeId>]) -> Vec<NodeId> {
+        let nodes: Vec<NodeId> = picks.iter().flatten().copied().collect();
+        let set: std::collections::HashSet<_> = nodes.iter().collect();
+        assert_eq!(set.len(), nodes.len(), "duplicate picks: {picks:?}");
+        nodes
+    }
+
     #[test]
     fn draws_are_distinct() {
         let u = vector();
-        for seed in 0..20 {
-            let out = topk_exponential(&u, 3, 10.0, 1.0, &mut rng(seed));
-            let nodes: Vec<NodeId> = out.picks.iter().flatten().copied().collect();
-            let set: std::collections::HashSet<_> = nodes.iter().collect();
-            assert_eq!(set.len(), nodes.len(), "duplicate picks: {:?}", out.picks);
+        for k in [1, 3] {
+            for seed in 0..20 {
+                let out = sample(&u, k, 10.0, &mut rng(seed));
+                assert_eq!(out.picks.len(), k);
+                distinct_nodes(&out.picks);
+            }
         }
     }
 
     #[test]
     fn huge_eps_returns_the_true_top_k() {
         let u = vector();
-        let out = topk_exponential(&u, 2, 1000.0, 1.0, &mut rng(1));
-        assert_eq!(out.picks, vec![Some(0), Some(1)]);
-        assert_eq!(out.total_utility, 8.0);
+        for (k, want, total) in [(1, vec![Some(0)], 5.0), (2, vec![Some(0), Some(1)], 8.0)] {
+            let out = sample(&u, k, 1000.0, &mut rng(1));
+            assert_eq!(out.picks, want);
+            assert_eq!(out.total_utility, total);
+        }
     }
 
     #[test]
@@ -338,7 +218,7 @@ mod tests {
     #[test]
     fn k_exceeding_nonzero_pool_fills_with_zero_class() {
         let u = UtilityVector::from_sparse(vec![(0, 2.0)], 3);
-        let out = topk_exponential(&u, 3, 1000.0, 1.0, &mut rng(3));
+        let out = sample(&u, 3, 1000.0, &mut rng(3));
         assert_eq!(out.picks[0], Some(0));
         assert_eq!(&out.picks[1..], &[None, None]);
         assert_eq!(out.total_utility, 2.0);
@@ -348,18 +228,18 @@ mod tests {
     #[should_panic(expected = "cannot recommend more nodes than candidates")]
     fn k_larger_than_candidates_rejected() {
         let u = UtilityVector::from_sparse(vec![(0, 1.0)], 1);
-        let _ = topk_exponential(&u, 3, 1.0, 1.0, &mut rng(4));
+        let _ = topk_gumbel(&u, 3, 1.0, 1.0, &mut rng(4));
     }
 
     #[test]
     #[should_panic(expected = "privacy parameter must be non-negative")]
     fn negative_eps_rejected() {
         let u = UtilityVector::from_sparse(vec![(0, 1.0), (1, 2.0)], 1);
-        let _ = topk_exponential(&u, 2, -1.0, 1.0, &mut rng(4));
+        let _ = sample(&u, 2, -1.0, &mut rng(4));
     }
 
     /// Adversarial RNG: every draw returns the maximum roll (`1 − 2⁻⁵³`),
-    /// pinning each round to the far edge of the probability walk where
+    /// pinning each draw to the far edge of the probability walk where
     /// the zero-class residue paths live.
     struct MaxRollRng;
 
@@ -377,22 +257,25 @@ mod tests {
 
     #[test]
     fn extreme_rolls_never_underflow_the_zero_class() {
-        // Regression: a draw landing past every live weight used to run
-        // `zeros -= 1` unguarded — a debug-mode underflow panic (and a
-        // wrapped counter in release) once the zero class was empty.
-        for num_zero in [0usize, 1, 3] {
-            for eps in [0.0, 1.0, 1000.0] {
-                let entries = vec![(0, 1.0), (1, 1.0), (2, 1.0)];
-                let u = UtilityVector::from_sparse(entries, num_zero);
-                let k = u.len();
-                let out = topk_exponential(&u, k, eps, 1.0, &mut MaxRollRng);
-                assert_eq!(out.picks.len(), k, "num_zero={num_zero} eps={eps}");
-                let nodes: Vec<NodeId> = out.picks.iter().flatten().copied().collect();
-                let set: std::collections::HashSet<_> = nodes.iter().collect();
-                assert_eq!(set.len(), nodes.len(), "duplicate live picks");
-                let nones = out.picks.iter().filter(|p| p.is_none()).count();
-                assert!(nones <= num_zero, "zero class over-consumed: {nones} > {num_zero}");
-                assert_eq!(nodes.len() + nones, k);
+        // Regression: a roll past every non-zero weight of Definition 5's
+        // walk answered with the zero class even when the class was empty,
+        // so a one-slot request was charged ε and got no slot.
+        let ties: Vec<(NodeId, f64)> = vec![(0, 1.0), (1, 1.0), (2, 1.0)];
+        let spread: Vec<(NodeId, f64)> = (0..7).map(|i| (i, 1.0 + f64::from(i) / 30.0)).collect();
+        for entries in [ties, spread] {
+            for num_zero in [0usize, 1, 3] {
+                for eps in [0.0, 1.0, 1000.0] {
+                    let u = UtilityVector::from_sparse(entries.clone(), num_zero);
+                    for k in [1, 3] {
+                        let case = format!("n={} num_zero={num_zero} eps={eps} k={k}", u.len());
+                        let out = sample(&u, k, eps, &mut MaxRollRng);
+                        assert_eq!(out.picks.len(), k, "{case}");
+                        let nodes = distinct_nodes(&out.picks);
+                        let nones = out.picks.iter().filter(|p| p.is_none()).count();
+                        assert!(nones <= num_zero, "zero class over-consumed: {case}");
+                        assert_eq!(nodes.len() + nones, k, "{case}");
+                    }
+                }
             }
         }
     }
@@ -407,31 +290,34 @@ mod tests {
 
     #[test]
     fn negative_utilities_keep_the_true_argmax_order() {
-        // Regression for the 0.0-seeded `u_max` fold: clamping the shift
-        // at 0 underflowed every all-negative live weight at high rates,
-        // so the walk fell through to the uniform-residue fallback and
-        // returned an arbitrary candidate instead of the argmax.
+        // Regression: with negative utilities and no zero class, the
+        // walk's normaliser took the empty class's weight as `0 · ∞ = NaN`
+        // at high rates, so no draw landed and the request fell through
+        // to the (empty) zero class instead of the argmax.
         let u = negative_vector();
         for seed in 0..20 {
-            let out = topk_exponential(&u, 2, 5000.0, 1.0, &mut rng(seed));
-            assert_eq!(out.picks, vec![Some(1), Some(2)], "seed {seed}");
-            assert_eq!(out.total_utility, -4.0);
-            let gumbel = topk_gumbel(&u, 2, 5000.0, 1.0, &mut rng(seed));
-            assert_eq!(gumbel.picks, out.picks, "gumbel agrees, seed {seed}");
+            let one = sample(&u, 1, 5000.0, &mut rng(seed));
+            assert_eq!(one.picks, vec![Some(1)], "seed {seed}");
+            assert_eq!(one.total_utility, -1.0);
+            let two = sample(&u, 2, 5000.0, &mut rng(seed));
+            assert_eq!(two.picks, vec![Some(1), Some(2)], "seed {seed}");
+            assert_eq!(two.total_utility, -4.0);
         }
     }
 
     #[test]
     fn negative_utilities_survive_extreme_rolls() {
-        // MaxRollRng pins every draw to the far edge of the walk: with the
-        // fold fixed the mass stays finite (no NaN from `0 · ∞`), the draw
-        // stays inside the live weights, and all entries peel exactly once.
+        // MaxRollRng pins every draw to the far edge of the walk: the
+        // mass stays finite, the draw stays inside the non-zero weights,
+        // and a full draw returns every entry exactly once.
         let u = negative_vector();
-        let out = topk_exponential(&u, 3, 5000.0, 1.0, &mut MaxRollRng);
-        let mut nodes: Vec<NodeId> = out.picks.iter().flatten().copied().collect();
+        let one = sample(&u, 1, 5000.0, &mut MaxRollRng);
+        assert_eq!(one.picks, vec![Some(1)]);
+        let all = sample(&u, 3, 5000.0, &mut MaxRollRng);
+        let mut nodes = distinct_nodes(&all.picks);
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1, 2]);
-        assert_eq!(out.total_utility, -9.0);
+        assert_eq!(all.total_utility, -9.0);
     }
 
     #[test]
@@ -492,61 +378,51 @@ mod tests {
     }
 
     #[test]
-    fn engine_dispatch_and_names_round_trip() {
-        assert_eq!(TopKEngine::default(), TopKEngine::Gumbel);
-        for engine in [TopKEngine::Peel, TopKEngine::Gumbel] {
-            assert_eq!(engine.name().parse::<TopKEngine>(), Ok(engine));
-            let u = vector();
-            let out = topk_with_engine(engine, &u, 2, 1000.0, 1.0, &mut rng(1));
-            assert_eq!(out.picks, vec![Some(0), Some(1)], "{engine:?}");
-        }
-        assert!("laplace".parse::<TopKEngine>().is_err());
-    }
-
-    #[test]
     fn engines_agree_at_eps_zero_in_aggregate() {
-        // ε = 0 is uniform over candidates-plus-zero-class for both
-        // engines: per-slot zero-class rates over many draws must match
-        // the hypergeometric expectation (and each other) closely.
+        // ε = 0 is uniform over candidates plus zero class: one slot of
+        // four lands in the two-member zero class half the time, whether
+        // the walk or Gumbel draws it, and two slots draw one zero member
+        // per request on average.
         let u = UtilityVector::from_sparse(vec![(0, 9.0), (1, 4.0)], 2);
         let trials = 4000;
-        let mut none_counts = [0usize; 2];
-        for (e, engine) in [TopKEngine::Peel, TopKEngine::Gumbel].into_iter().enumerate() {
+        for (k, gumbel, expected) in [(1, false, 0.5), (1, true, 0.5), (2, false, 1.0)] {
             let mut r = rng(77);
+            let mut nones = 0;
             for _ in 0..trials {
-                let out = topk_with_engine(engine, &u, 2, 0.0, 1.0, &mut r);
-                none_counts[e] += out.picks.iter().filter(|p| p.is_none()).count();
+                let out = if gumbel {
+                    topk_gumbel(&u, k, 0.0, 1.0, &mut r)
+                } else {
+                    sample(&u, k, 0.0, &mut r)
+                };
+                nones += out.picks.iter().filter(|p| p.is_none()).count();
             }
-        }
-        // E[zero-class picks in a uniform 2-of-4 draw] = 1 per trial.
-        for (e, &count) in none_counts.iter().enumerate() {
-            let mean = count as f64 / trials as f64;
-            assert!((mean - 1.0).abs() < 0.05, "engine {e}: mean zero picks {mean}");
+            let mean = nones as f64 / trials as f64;
+            assert!((mean - expected).abs() < 0.05, "k={k} gumbel={gumbel}: mean {mean}");
         }
     }
 
     #[test]
     fn all_zero_vector_fills_all_slots() {
-        // Regression for the all-zero branch: the zero counter is driven
-        // exactly to zero — one member per slot, never past the class size.
+        // The zero class is drawn one member per slot, never past its size.
         let u = UtilityVector::from_sparse(vec![], 3);
-        let out = topk_exponential(&u, 3, 1.0, 1.0, &mut rng(5));
-        assert_eq!(out.picks, vec![None, None, None]);
-        assert_eq!(out.total_utility, 0.0);
+        for k in [1, 3] {
+            let out = sample(&u, k, 1.0, &mut rng(5));
+            assert_eq!(out.picks, vec![None; k]);
+            assert_eq!(out.total_utility, 0.0);
+        }
     }
 
     #[test]
     fn zero_class_draws_mid_peel_balance_exactly() {
-        // Peeling the whole candidate set must consume every non-zero entry
-        // once and every zero-class member once, in any interleaving: a
-        // mid-peel zero-class draw decrements the class, never a live entry.
+        // Drawing the whole candidate set through the serving sampler
+        // must consume every non-zero entry once and every zero-class
+        // member once, in any interleaving.
         let u = UtilityVector::from_sparse(vec![(2, 3.0), (5, 1.0), (9, 2.0)], 4);
         for seed in 0..50 {
-            let out = topk_exponential(&u, u.len(), 0.4, 1.0, &mut rng(seed));
-            let nodes: Vec<NodeId> = out.picks.iter().flatten().copied().collect();
-            let mut sorted = nodes.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![2, 5, 9], "seed {seed}: every live entry peeled once");
+            let out = sample(&u, u.len(), 0.4, &mut rng(seed));
+            let mut nodes = distinct_nodes(&out.picks);
+            nodes.sort_unstable();
+            assert_eq!(nodes, vec![2, 5, 9], "seed {seed}: every live entry drawn once");
             let nones = out.picks.iter().filter(|p| p.is_none()).count();
             assert_eq!(nones, 4, "seed {seed}: every zero member consumed once");
             assert_eq!(out.total_utility, 6.0);

@@ -160,21 +160,23 @@ proptest! {
         prop_assert!((exp - lap).abs() < 0.12, "exp {exp} vs lap {lap}");
     }
 
-    /// The two top-k engines agree wherever sampling is deterministic.
-    /// At ε = 10⁶ the noise is negligible against any utility gap, so
-    /// both must return a true top-k: identical total utility and an
-    /// identical multiset of picked utilities (individual node ids may
-    /// differ only inside exact-tie groups). At ε = 0 both are uniform
-    /// samplers; the structural contract — k slots, distinct node picks,
-    /// zero class never over-drawn — must hold for each (the matching
-    /// distributions are pinned by the χ² conformance suite).
+    /// The two sides of the serving sampler's `k` split agree wherever
+    /// sampling is deterministic. At ε = 10⁶ the noise is negligible
+    /// against any utility gap, so Definition 5's walk and one-pass Gumbel
+    /// at `k = 1` both return a top utility, and a `k`-slot draw returns
+    /// a true top-`k`: the multiset of picked utilities is the `k`
+    /// largest (individual node ids may differ only inside exact-tie
+    /// groups). At ε = 0 the sampler is uniform; the structural contract
+    /// — k slots, distinct node picks, zero class never over-drawn — must
+    /// hold at every `k` (the distributions are pinned by the χ²
+    /// conformance suite).
     #[test]
     fn topk_engines_agree_in_deterministic_regimes(
         edges in edge_set(N, 24),
         k in 1usize..5,
         seed in 0u64..1 << 32,
     ) {
-        use psr_privacy::{topk_with_engine, TopKEngine};
+        use psr_privacy::{topk_gumbel, ServeMechanism};
 
         let g = GraphBuilder::new(Direction::Undirected)
             .add_edges(edges.iter().copied())
@@ -188,27 +190,28 @@ proptest! {
         let sorted_utilities = |picks: &[Option<u32>]| -> Vec<f64> {
             let mut us: Vec<f64> =
                 picks.iter().map(|p| p.map_or(0.0, |v| u.get(v))).collect();
-            us.sort_by(f64::total_cmp);
+            us.sort_by(|a, b| b.total_cmp(a));
             us
         };
-        let peel =
-            topk_with_engine(TopKEngine::Peel, &u, k, 1e6, 2.0, &mut rng(seed));
-        let gumbel =
-            topk_with_engine(TopKEngine::Gumbel, &u, k, 1e6, 2.0, &mut rng(!seed));
-        prop_assert!((peel.total_utility - gumbel.total_utility).abs() < 1e-9,
-            "peel {} vs gumbel {}", peel.total_utility, gumbel.total_utility);
-        prop_assert_eq!(sorted_utilities(&peel.picks), sorted_utilities(&gumbel.picks));
+        let mut top_k: Vec<f64> = u.nonzero().iter().map(|&(_, x)| x).collect();
+        top_k.resize(u.len(), 0.0);
+        top_k.sort_by(|a, b| b.total_cmp(a));
+        top_k.truncate(k);
 
-        for engine in [TopKEngine::Peel, TopKEngine::Gumbel] {
-            let top = topk_with_engine(engine, &u, k, 0.0, 2.0, &mut rng(seed));
-            prop_assert_eq!(top.picks.len(), k);
-            let nodes: Vec<u32> = top.picks.iter().filter_map(|&p| p).collect();
-            let mut distinct = nodes.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(distinct.len(), nodes.len(), "duplicate picks under {:?}", engine);
-            prop_assert!(k - nodes.len() <= u.num_zero(), "zero class over-drawn by {:?}", engine);
-        }
+        let walk = ServeMechanism::Exponential.sample(&u, 1, 1e6, 2.0, &mut rng(seed));
+        let gumbel = topk_gumbel(&u, 1, 1e6, 2.0, &mut rng(!seed));
+        prop_assert_eq!(sorted_utilities(&walk.picks), sorted_utilities(&gumbel.picks));
+        let top = ServeMechanism::Exponential.sample(&u, k, 1e6, 2.0, &mut rng(seed));
+        prop_assert_eq!(sorted_utilities(&top.picks), top_k);
+
+        let top = ServeMechanism::Exponential.sample(&u, k, 0.0, 2.0, &mut rng(seed));
+        prop_assert_eq!(top.picks.len(), k);
+        let nodes: Vec<u32> = top.picks.iter().filter_map(|&p| p).collect();
+        let mut distinct = nodes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        prop_assert_eq!(distinct.len(), nodes.len(), "duplicate picks at k = {}", k);
+        prop_assert!(k - nodes.len() <= u.num_zero(), "zero class over-drawn at k = {}", k);
     }
 
     /// Smoothing never exceeds its Theorem-5 epsilon: exact distribution
