@@ -1313,6 +1313,18 @@ mod tests {
     }
 
     #[test]
+    fn attack_rejects_an_engine() {
+        // The sampler follows from k alone; attack takes no engine choice.
+        for engine in ["peel", "gumbel", "bogus"] {
+            assert!(parse(&argv(&format!("attack --engine {engine}"))).is_err(), "{engine}");
+        }
+        match parse(&argv("attack")).unwrap() {
+            Command::Attack { opts } => assert_eq!(opts, AttackOptions::default()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn parses_attack_with_options() {
         let cmd = parse(&argv(
             "attack --preset wiki --scale 0.1 --mechanism non-private --adversary mia \
